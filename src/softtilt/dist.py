@@ -6,6 +6,11 @@ introduce no rounding at all. Floats appear only at the query surface. Two
 invariants rely on this: marginalizing in stages equals marginalizing in one
 step *exactly*, and the pointwise mutual information is bit-identical under
 argument exchange because both orders reduce to the same rational ratio.
+
+A `JointTable` is immutable once built: its cells, variables and `tol_norm`
+cannot change. `marginal` relies on this to memoize each marginal on the
+table it came from, keyed by the kept names, so conditioning once per
+context costs one lookup rather than a rescan of every cell.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from numbers import Rational
 from .errors import UndefinedPMI, ValidationError, ZeroMassContext
 
 DEFAULT_TOL_NORM = 1e-12
+_MIN_NORMAL = 2.0**-1022  # smallest positive normal double
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,9 @@ class JointTable:
         if len(set(names)) != len(names):
             raise ValidationError("variable names must be distinct")
         self._by_name = {s.name: s for s in self._variables}
-        self.tol_norm = float(tol_norm)
+        self._tol_norm = float(tol_norm)
+        # marginals of this table, keyed by kept names in table order
+        self._marginals: dict[tuple[str, ...], JointTable] = {}
 
         pairs = mass.items() if isinstance(mass, Mapping) else mass
         cells: dict[Assignment, Fraction] = {}
@@ -214,6 +222,10 @@ class JointTable:
                 raise ValidationError(f"label {label!r} is not in the alphabet of {name!r}")
 
     @property
+    def tol_norm(self) -> float:
+        return self._tol_norm
+
+    @property
     def variables(self) -> tuple[VariableSpec, ...]:
         return self._variables
 
@@ -248,17 +260,13 @@ class JointTable:
         return self._mass.get(cell, Fraction(0))
 
     def event_mass(self, event) -> Fraction:
-        """Exact probability of a partial assignment (sum over matching cells)."""
+        """Exact probability of a partial assignment, read off its marginal."""
         ev = as_assignment(event)
         self._validate_event(ev)
-        if len(ev) == len(self._variables):
-            return self._mass.get(ev, Fraction(0))
-        items = ev.items_sorted
-        total = Fraction(0)
-        for cell, p in self._mass.items():
-            if all(cell[name] == label for name, label in items):
-                total += p
-        return total
+        if not ev:
+            return self._total
+        table = self if len(ev) == len(self._variables) else marginal(self, ev)
+        return table._mass.get(ev, Fraction(0))
 
     def prob(self, event) -> float:
         return float(self.event_mass(event))
@@ -332,14 +340,20 @@ class DistVector:
 
 
 def marginal(joint: JointTable, keep: Iterable[str]) -> JointTable:
-    """Marginalize onto a subset of variables. Exact: no rounding occurs."""
+    """Marginalize onto a subset of variables. Exact: no rounding occurs.
+
+    Built once per table and subset; later calls return the same object.
+    """
     kept = joint.group(keep)
-    kept_names = [s.name for s in kept]
-    out: dict[Assignment, Fraction] = {}
-    for cell, p in joint.masses().items():
-        key = cell.restrict(kept_names)
-        out[key] = out.get(key, Fraction(0)) + p
-    return JointTable(kept, out, tol_norm=joint.tol_norm)
+    kept_names = tuple(s.name for s in kept)
+    cached = joint._marginals.get(kept_names)
+    if cached is None:
+        out: dict[Assignment, Fraction] = {}
+        for cell, p in joint._mass.items():
+            key = cell.restrict(kept_names)
+            out[key] = out.get(key, Fraction(0)) + p
+        cached = joint._marginals[kept_names] = JointTable(kept, out, tol_norm=joint.tol_norm)
+    return cached
 
 
 def conditional(joint: JointTable, target: Iterable[str], context) -> DistVector:
@@ -390,7 +404,23 @@ def pmi(joint: JointTable, x, z, y) -> float:
     p_xyz = joint.event_mass(ex.union(ey).union(ez))
     if p_xyz == 0:
         return -math.inf
-    return math.log(float((p_xyz * p_y) / (p_yz * p_xy)))
+    return log_rational((p_xyz * p_y) / (p_yz * p_xy))
+
+
+def log_rational(r: Fraction) -> float:
+    """Natural log of an exact positive rational, at any magnitude.
+
+    A ratio that a double holds as a normal number takes the log of that
+    double; one outside that range (which float() would overflow or flush
+    toward zero) takes the difference of the integer logs.
+    """
+    try:
+        x = float(r)
+    except OverflowError:
+        x = math.inf
+    if _MIN_NORMAL <= x < math.inf:
+        return math.log(x)
+    return math.log(r.numerator) - math.log(r.denominator)
 
 
 def total_variation(a: DistVector, b: DistVector) -> float:

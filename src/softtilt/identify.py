@@ -23,6 +23,7 @@ from .dist import (
     as_assignment,
     conditional,
     iter_group_assignments,
+    log_rational,
     marginal,
 )
 from .errors import (
@@ -191,7 +192,7 @@ def identify_interaction(joint: JointTable, direction: Direction, alpha: float |
             if p_cell == 0:
                 row[outcome] = -math.inf
             else:
-                row[outcome] = math.log(float((p_cell * p_base) / (p_ctx * p_prior)))
+                row[outcome] = log_rational((p_cell * p_base) / (p_ctx * p_prior))
         values[ctx] = row
     return InteractionTable(direction=direction, values=values)
 

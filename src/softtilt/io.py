@@ -135,7 +135,11 @@ def joint_to_doc(joint: JointTable) -> dict:
 # ------------------------------------------------------------- directions
 
 def segment_names(text: str, names: Sequence[str]) -> tuple[str, ...]:
-    """Split a lowercase concatenation of variable names back into names."""
+    """Split a lowercase concatenation of variable names back into names.
+
+    The split must be unique: a tag with no reading, or with two, is a
+    SchemaError. Linear in len(text) times the number of names.
+    """
     lowered: dict[str, str] = {}
     for name in names:
         low = name.lower()
@@ -143,21 +147,34 @@ def segment_names(text: str, names: Sequence[str]) -> tuple[str, ...]:
             raise SchemaError(f"variable names collide case-insensitively: {name!r}")
         lowered[low] = name
     ordered = sorted(lowered, key=len, reverse=True)
-
-    def walk(i: int):
-        if i == len(text):
-            return []
-        for low in ordered:
-            if text.startswith(low, i):
-                rest = walk(i + len(low))
-                if rest is not None:
-                    return [lowered[low]] + rest
-        return None
-
-    out = walk(0)
-    if out is None:
+    n = len(text)
+    # ways[i]: number of readings of text[i:], capped at 2
+    ways = [0] * n + [1]
+    for i in range(n - 1, -1, -1):
+        ways[i] = min(2, sum(ways[i + len(low)] for low in ordered if text.startswith(low, i)))
+    if not ways[0]:
         raise SchemaError(f"cannot segment {text!r} into variable names {sorted(names)!r}")
-    return tuple(out)
+
+    def finish(i: int, out: list[str]) -> tuple[str, ...]:
+        while i < n:
+            low = next(low for low in ordered if text.startswith(low, i) and ways[i + len(low)])
+            out.append(lowered[low])
+            i += len(low)
+        return tuple(out)
+
+    reading = finish(0, [])
+    if ways[0] == 1:
+        return reading
+    # a second reading leaves the first at its earliest branch point
+    i = k = 0
+    while True:
+        fits = [low for low in ordered if text.startswith(low, i) and ways[i + len(low)]]
+        if len(fits) > 1:
+            break
+        i += len(fits[0])
+        k += 1
+    other = finish(i + len(fits[1]), list(reading[:k]) + [lowered[fits[1]]])
+    raise SchemaError(f"ambiguous tag {text!r}: reads as {reading!r} and {other!r}")
 
 
 def direction_from_tag(tag: str, names: Sequence[str]) -> Direction:

@@ -8,6 +8,7 @@ sum to exactly one.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from softtilt import (
     JointTable,
     SoftUpdateProblem,
     SolverConfig,
+    UndefinedPMI,
     VariableSpec,
+    ZeroMassContext,
     iter_group_assignments,
 )
 
@@ -39,6 +42,19 @@ def sparse_joint() -> JointTable:
         Assignment({"X": "1", "Y": "0", "Z": "1"}): Fraction(1, 10),
     }
     return JointTable(specs, mass)
+
+
+def overflow_joint() -> JointTable:
+    """Binary joint whose ratio P(X=1|Y=0,Z=1) / P(X=1|Y=0) = (0.5 + 2c) / (2c)
+    exceeds the largest double, where c is the subnormal 1e-320; the total
+    1 + 2c is within the normalization tolerance."""
+    specs = tuple(VariableSpec(name, BITS) for name in VAR_NAMES)
+    return JointTable(specs, [
+        ({"X": "1", "Y": "0", "Z": "1"}, 1e-320),
+        ({"X": "0", "Y": "0", "Z": "1"}, 1e-320),
+        ({"X": "0", "Y": "0", "Z": "0"}, 0.5),
+        ({"X": "0", "Y": "1", "Z": "0"}, 0.5),
+    ])
 
 
 def random_specs(rng: random.Random, min_k: int = 2, max_k: int = 4) -> tuple[VariableSpec, ...]:
@@ -133,3 +149,50 @@ def random_baseline(rng: random.Random, joint: JointTable, conditioning, scale: 
 
 def contexts_of(joint: JointTable, names) -> list[Assignment]:
     return sorted(iter_group_assignments(joint.group(names)), key=lambda a: a.sort_key)
+
+
+# Plain scanning reference for the table kernel: every query sums over every
+# cell, with no memo. softtilt.dist must agree with it exactly.
+
+def ref_event_mass(joint: JointTable, event) -> Fraction:
+    items = Assignment(event).items_sorted
+    total = Fraction(0)
+    for cell, p in joint.masses().items():
+        if all(cell[name] == label for name, label in items):
+            total += p
+    return total
+
+
+def ref_marginal(joint: JointTable, keep) -> dict[Assignment, Fraction]:
+    kept = [s.name for s in joint.group(keep)]
+    out: dict[Assignment, Fraction] = {}
+    for cell, p in joint.masses().items():
+        key = cell.restrict(kept)
+        out[key] = out.get(key, Fraction(0)) + p
+    return out
+
+
+def ref_conditional(joint: JointTable, target, context) -> tuple[float, ...]:
+    ctx = Assignment(context)
+    ctx_mass = ref_event_mass(joint, ctx)
+    if ctx_mass == 0:
+        raise ZeroMassContext(f"conditioning event {ctx!r} has zero probability")
+    return tuple(
+        float(ref_event_mass(joint, outcome.union(ctx)) / ctx_mass)
+        for outcome in iter_group_assignments(joint.group(target))
+    )
+
+
+def ref_pmi(joint: JointTable, x, z, y) -> float:
+    ex, ez, ey = Assignment(x), Assignment(z), Assignment(y)
+    p_y = ref_event_mass(joint, ey)
+    p_yz = ref_event_mass(joint, ey.union(ez))
+    if p_y == 0 or p_yz == 0:
+        raise ZeroMassContext(f"P(y)=0 or P(y,z)=0 for y={ey!r}, z={ez!r}")
+    p_xy = ref_event_mass(joint, ex.union(ey))
+    if p_xy == 0:
+        raise UndefinedPMI(f"P(x|y)=0 for x={ex!r}, y={ey!r}")
+    p_xyz = ref_event_mass(joint, ex.union(ey).union(ez))
+    if p_xyz == 0:
+        return -math.inf
+    return math.log(float((p_xyz * p_y) / (p_yz * p_xy)))

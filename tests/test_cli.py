@@ -10,7 +10,7 @@ import pytest
 from softtilt import fixture_path, joint_f3, pmi
 from softtilt.cli import main
 from softtilt.io import dumps_report, joint_to_doc
-from helpers import sparse_joint
+from helpers import overflow_joint, sparse_joint
 
 F1 = str(fixture_path("f1.json"))
 F3 = str(fixture_path("f3.json"))
@@ -141,6 +141,19 @@ class TestIdentify:
             {"context": {"Y": "1", "Z": "0"}, "reason": "zero conditioning mass"}
         ]
         assert report["contexts"] == 3
+
+    def test_ratio_beyond_double_range_exits_0(self, capsys, tmp_path):
+        joint = write_json(tmp_path / "overflow.json", joint_to_doc(overflow_joint()))
+        prefix = tmp_path / "ov"
+        code, _, err = run(capsys, ["identify", joint, "--alpha", "2", "--out", str(prefix)])
+        assert code == 0 and err == ""
+        with open(str(prefix) + ".interaction.json", encoding="utf-8") as fh:
+            entries = json.load(fh)["entries"]
+        (value,) = [
+            e["i"] for e in entries
+            if e["context"] == {"Y": "0", "Z": "1"} and e["outcome"] == {"X": "1"}
+        ]
+        assert 700 < value < math.inf
 
 
 class TestCheck:

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from softtilt import (
@@ -26,7 +26,15 @@ from softtilt import (
     pmi,
     total_variation,
 )
-from helpers import random_joint, sparse_joint
+from helpers import (
+    overflow_joint,
+    random_joint,
+    ref_conditional,
+    ref_event_mass,
+    ref_marginal,
+    ref_pmi,
+    sparse_joint,
+)
 
 B = ("0", "1")
 
@@ -216,6 +224,80 @@ class TestPMI:
     def test_overlapping_events_rejected(self):
         with pytest.raises(ValidationError):
             pmi(joint_f3(), {"X": "0"}, {"X": "1"}, {"Y": "0"})
+
+
+    def test_ratio_beyond_double_range_is_finite(self):
+        # the exact ratio (0.5 + 2c) / (2c) overflows float(); its log does not
+        j = overflow_joint()
+        x, z, y = {"X": "1"}, {"Z": "1"}, {"Y": "0"}
+        value = pmi(j, x, z, y)
+        assert value == pytest.approx(math.log(0.5) - math.log(2 * 1e-320), rel=1e-12)
+        assert value == pmi(j, z, x, y)
+
+
+def _outcome(call):
+    """The value of call(), or the type of the SoftTiltError it raises."""
+    try:
+        return call()
+    except (ZeroMassContext, UndefinedPMI) as exc:
+        return type(exc)
+
+
+def _sparse_random_joint(rng: random.Random) -> JointTable:
+    """1-4 variables of 1-3 labels each, about a third of the cells zero.
+
+    The total is exactly one or off it by about 1e-15, as JSON input can be.
+    """
+    names = rng.sample(["W", "X", "Y", "Z"], rng.randint(1, 4))
+    specs = [VariableSpec(n, tuple(str(i) for i in range(rng.randint(1, 3)))) for n in names]
+    cells = list(iter_group_assignments(specs))
+    raw = [0 if rng.random() < 0.35 else rng.randint(10**14, 10**15) for _ in cells]
+    raw[rng.randrange(len(raw))] = rng.randint(10**14, 10**15)
+    total = sum(raw) + rng.randint(-1, 1)
+    return JointTable(specs, [(c, Fraction(w, total)) for c, w in zip(cells, raw)])
+
+
+def _random_event(rng: random.Random, joint: JointTable, names) -> dict[str, str]:
+    return {n: rng.choice(joint.variable(n).alphabet) for n in names}
+
+
+class TestKernelAgainstScan:
+    """The memoized kernel against the plain scan in helpers, query by query."""
+
+    @seed(0x50F7)
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_interleaved_queries_match_reference(self, case):
+        rng = random.Random(case)
+        j = _sparse_random_joint(rng)
+        names = list(j.names)
+        for _ in range(24):
+            kind = rng.choice(("marginal", "event_mass", "conditional", "pmi"))
+            rng.shuffle(names)
+            if kind == "marginal":
+                keep = names[: rng.randint(1, len(names))]
+                m = marginal(j, keep)
+                assert m.masses() == ref_marginal(j, keep)
+                assert marginal(j, list(reversed(keep))) is m
+            elif kind == "event_mass":
+                ev = _random_event(rng, j, names[: rng.randint(0, len(names))])
+                assert j.event_mass(ev) == ref_event_mass(j, ev)
+            elif kind == "conditional":
+                cut = rng.randint(1, len(names))
+                target = names[:cut]
+                ctx = _random_event(rng, j, names[cut : rng.randint(cut, len(names))])
+                got = _outcome(lambda: conditional(j, target, ctx).probs)
+                assert got == _outcome(lambda: ref_conditional(j, target, ctx))
+            elif len(names) >= 2:
+                x = _random_event(rng, j, names[:1])
+                z = _random_event(rng, j, names[1:2])
+                y = _random_event(rng, j, names[2 : rng.randint(2, len(names))])
+                got = _outcome(lambda: pmi(j, x, z, y))
+                assert got == _outcome(lambda: ref_pmi(j, x, z, y))
+        with pytest.raises(AttributeError):
+            j.tol_norm = 0.5
+        with pytest.raises(AttributeError):
+            marginal(j, names[:1]).tol_norm = 0.5
 
 
 class TestDistVector:

@@ -38,6 +38,7 @@ from softtilt import (
 from helpers import (
     contexts_of,
     outcome_specs,
+    overflow_joint,
     random_baseline,
     random_joint,
     random_terminals,
@@ -123,6 +124,13 @@ class TestIdentify:
         table = identify_interaction(sparse_joint(), FWD)
         assert table.value({"Y": "0", "Z": "0"}, {"X": "1"}) == -math.inf
 
+    def test_ratio_beyond_double_range_is_finite(self):
+        j = overflow_joint()
+        table = identify_interaction(j, FWD)
+        ctx, x = {"Y": "0", "Z": "1"}, {"X": "1"}
+        assert table.value(ctx, x) == pmi(j, x, {"Z": "1"}, {"Y": "0"})
+        assert 700 < table.value(ctx, x) < math.inf
+
 
 class TestCalibrate:
     def test_f1_zero_everything(self):
@@ -180,6 +188,11 @@ class TestCalibrate:
         assert Assignment({"X": "1"}) not in calib.rewards.entries[null_cell[0]]
         with pytest.raises(InfiniteInteraction):
             calibrate_rewards(j, FWD, EventValueFunction.zero(), alpha=1.0, on_infinite="error")
+
+    def test_ratio_beyond_double_range_calibrates(self):
+        calib = calibrate_rewards(overflow_joint(), FWD, EventValueFunction.zero(), alpha=2.0)
+        reward = calib.rewards.reward({"Y": "0", "Z": "1"}, {"X": "1"})
+        assert 350 < reward < math.inf
 
     def test_missing_baseline_context_raises(self):
         with pytest.raises(MissingContext):

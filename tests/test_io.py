@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
@@ -136,6 +137,17 @@ class TestDirectionParsing:
 
     def test_segmentation_prefers_longest(self):
         assert segment_names("abc", ("A", "AB", "C")) == ("AB", "C")
+
+    def test_segmentation_rejects_ambiguous_tag(self):
+        with pytest.raises(SchemaError, match="ambiguous.*'XY'.*'X', 'Y'"):
+            segment_names("xy", ("X", "Y", "XY"))
+
+    def test_unsegmentable_long_tag_fails_fast(self):
+        # backtracking would try about 1.8**200 splits of the a-run before the z
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match="cannot segment"):
+            segment_names("a" * 199 + "z", ("A", "AA", "AAA"))
+        assert time.perf_counter() - start < 1.0
 
     def test_unsegmentable_tag(self):
         with pytest.raises(SchemaError, match="cannot segment"):
