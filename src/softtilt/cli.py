@@ -6,7 +6,8 @@ significant digits. Identical inputs and flags give byte-identical output.
 
 Exit codes:
   0  success; for `check`, all requested checks passed
-  1  a requested check failed, or a runtime contract was violated
+  1  a requested check failed, a runtime contract was violated, or an
+     --out file could not be written
   2  schema violation (malformed JSON, bad field, bad flag combination)
   3  zero-mass conditioning context without --skip-zero-mass
   4  coverage mismatch (a table misses required contexts or cells)
@@ -15,10 +16,11 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 from .coherence import DirectionPair, EventValueFunction, build_problem, order_independence_check
@@ -26,6 +28,7 @@ from .countable import DEFAULT_MAX_DOUBLINGS, DEFAULT_START, log_normalizer_trun
 from .dist import Assignment, DistVector, JointTable, conditional, iter_group_assignments
 from .errors import (
     CoverageMismatch,
+    OutputError,
     SchemaError,
     SoftTiltError,
     ZeroMassContext,
@@ -73,10 +76,29 @@ def _sorted_contexts(joint: JointTable, names: Sequence[str]) -> list[Assignment
     return sorted(cells, key=lambda a: a.sort_key)
 
 
+def _render(doc) -> str:
+    return dumps_report(doc) + "\n"
+
+
+def _write_files(outputs: Sequence[tuple[str, str]]) -> None:
+    """Write each (path, text) in turn; on failure remove the files written so far."""
+    written: list[str] = []
+    try:
+        for path, text in outputs:
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError as exc:
+        for done in written:
+            with contextlib.suppress(OSError):
+                os.remove(done)
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(out: str | None, doc) -> None:
-    text = dumps_report(doc) + "\n"
+    text = _render(doc)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_files([(out, text)])
     else:
         sys.stdout.write(text)
 
@@ -192,9 +214,11 @@ def cmd_identify(args) -> int:
         }
     )
     prefix = args.out
-    _emit(f"{prefix}.interaction.json", interaction_to_doc(table, args.alpha))
-    _emit(f"{prefix}.rewards.json", reward_to_doc(args.alpha, calib.rewards, terminals))
-    _emit(f"{prefix}.report.json", report)
+    _write_files([
+        (f"{prefix}.interaction.json", _render(interaction_to_doc(table, args.alpha))),
+        (f"{prefix}.rewards.json", _render(reward_to_doc(args.alpha, calib.rewards, terminals))),
+        (f"{prefix}.report.json", _render(report)),
+    ])
     return 0
 
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Callable
 
 from .errors import InvalidBounds, NotFinite, ValidationError
-from .tilt import SoftUpdateProblem, logsumexp
+from .tilt import SoftUpdateProblem, first_invalid, require_log_terms, shifted_log_sum
 
 DEFAULT_START = 16
 # max truncation point is start << max_doublings; 16 << 17 keeps the
@@ -27,6 +28,10 @@ DEFAULT_MAX_DOUBLINGS = 17
 # partial sums never exceed the true Z, so no family with Z below this
 # threshold can ever be declared diverged
 DEFAULT_EXPLOSION_LOG = 500.0
+# log-terms are built and validated this many at a time: enough to amortize
+# the per-chunk overhead, few enough that the chunk's temporary lists stay
+# small next to the retained terms
+_CHUNK = 1 << 14
 
 
 class CertificateStatus(str, Enum):
@@ -44,6 +49,12 @@ class CountableFamily:
     would silently hide divergence). tail_bound(N) must bound
     sum_{n>N} p_n exp(payoff(n)) from above and be nonincreasing in N; it
     may be +inf where no finite bound is available.
+
+    Call contract: each callable is called at most once per n. payoff(n) is
+    called only where log_prior_mass(n) is finite. The solver evaluates the
+    prior a chunk of terms ahead of the payoff, so an exception raised in
+    log_prior_mass at n can surface before the payoff at some m < n is
+    evaluated.
     """
 
     log_prior_mass: Callable[[int], float]
@@ -184,6 +195,38 @@ def _safe_exp(x: float) -> float:
     return math.exp(x)
 
 
+def _payoffs(family: CountableFamily, lo: int, lps: list[float]) -> list[float]:
+    """Validated payoffs at n = lo, lo + 1, ... wherever the log prior mass lps is finite.
+
+    Zero-mass positions get 0.0, which leaves their -inf log-term unchanged.
+    """
+    ns = range(lo, lo + len(lps))
+    if -math.inf in lps:
+        ss = [float(family.payoff(n)) if lp > -math.inf else 0.0 for n, lp in zip(ns, lps)]
+    else:
+        ss = list(map(float, map(family.payoff, ns)))
+    i = first_invalid(ss)
+    if i is not None:
+        raise ValidationError(f"payoff at n={lo + i} must be in [-inf, inf), got {ss[i]!r}")
+    return ss
+
+
+def _term_chunk(family: CountableFamily, lo: int, hi: int) -> list[float]:
+    """Log-terms log p_n + payoff(n) for lo <= n < hi.
+
+    Invalid values raise the error, at the same n, that a scan evaluating
+    the prior and then the payoff term by term would raise first.
+    """
+    lps = list(map(float, map(family.log_prior_mass, range(lo, hi))))
+    i = first_invalid(lps)
+    if i is not None:
+        _payoffs(family, lo, lps[:i])
+        raise ValidationError(
+            f"log prior mass at n={lo + i} must be in [-inf, inf), got {lps[i]!r}"
+        )
+    return list(map(add, lps, _payoffs(family, lo, lps)))
+
+
 def _truncate(
     family: CountableFamily,
     eps_tail: float,
@@ -196,26 +239,19 @@ def _truncate(
     if start < 1 or max_doublings < 0:
         raise ValidationError("truncation schedule must have start >= 1, doublings >= 0")
     log_terms: list[float] = []
+    top = -math.inf  # running max of log_terms
     prev_bound = math.inf
     prev_checkpoint_term: float | None = None
     run = None
     for k in range(max_doublings + 1):
         n_stop = start << k
-        while len(log_terms) <= n_stop:
-            n = len(log_terms)
-            lp = float(family.log_prior_mass(n))
-            if math.isnan(lp) or lp == math.inf:
-                raise ValidationError(
-                    f"log prior mass at n={n} must be in [-inf, inf), got {lp!r}"
-                )
-            if lp == -math.inf:
-                log_terms.append(-math.inf)
-                continue
-            s = float(family.payoff(n))
-            if math.isnan(s) or s == math.inf:
-                raise ValidationError(f"payoff at n={n} must be in [-inf, inf), got {s!r}")
-            log_terms.append(lp + s)
-        log_partial = logsumexp(log_terms)
+        for lo in range(len(log_terms), n_stop + 1, _CHUNK):
+            chunk = _term_chunk(family, lo, min(lo + _CHUNK, n_stop + 1))
+            top = max(top, max(chunk))
+            log_terms += chunk
+        # a finite lp + payoff overflowed to +inf exactly when the max did
+        require_log_terms((top,))
+        log_partial = shifted_log_sum(log_terms, top) if top > -math.inf else -math.inf
         bound = float(family.tail_bound(n_stop))
         if math.isnan(bound) or bound < 0:
             raise InvalidBounds(f"tail bound at N={n_stop} must be >= 0, got {bound!r}")

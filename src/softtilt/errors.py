@@ -60,3 +60,7 @@ class NotFinite(SoftTiltError):
 
 class InvalidBounds(SoftTiltError, ValueError):
     """Supplied tail bounds are invalid (negative, or increasing along the schedule)."""
+
+
+class OutputError(SoftTiltError):
+    """A report or artifact could not be written."""

@@ -11,25 +11,54 @@ All exponent sums are max-shifted; float sums are compensated (fsum).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum
+from operator import sub
 
 from .dist import DistVector
 from .errors import DegenerateProblem, SupportViolation, ValidationError
 
+_MIN_NORMAL = sys.float_info.min
+
+
+def first_invalid(xs) -> int | None:
+    """Index of the first NaN or +inf entry of the sequence xs, or None.
+
+    A clean sequence costs two C-level passes and no Python loop.
+    """
+    if math.inf in xs or any(map(math.isnan, xs)):
+        return next(i for i, x in enumerate(xs) if math.isnan(x) or x == math.inf)
+    return None
+
+
+def require_log_terms(xs) -> None:
+    """Raise ValidationError naming the first NaN or +inf entry of the sequence xs."""
+    i = first_invalid(xs)
+    if i is not None:
+        raise ValidationError(f"logsumexp requires values in [-inf, inf), got {xs[i]!r}")
+
+
+def shifted_log_sum(xs, shift: float) -> float:
+    """shift + log sum_x exp(x - shift) for the finite max `shift` of xs.
+
+    -inf entries contribute exp(-inf) == 0.0, which leaves the correctly
+    rounded fsum unchanged, so they need no filtering pass.
+    """
+    return shift + math.log(fsum(map(math.exp, map(sub, xs, repeat(shift)))))
+
 
 def logsumexp(values) -> float:
     """Max-shifted log of a sum of exponentials; -inf entries drop out."""
-    xs = list(values)
-    for x in xs:
-        if math.isnan(x) or x == math.inf:
-            raise ValidationError(f"logsumexp requires values in [-inf, inf), got {x!r}")
+    xs = values if isinstance(values, (list, tuple)) else list(values)
+    require_log_terms(xs)
     if not xs:
         return -math.inf
     m = max(xs)
     if m == -math.inf:
         return -math.inf
-    return m + math.log(fsum(math.exp(x - m) for x in xs if x > -math.inf))
+    return shifted_log_sum(xs, m)
 
 
 @dataclass(frozen=True)
@@ -126,6 +155,18 @@ def _check_candidate(problem: SoftUpdateProblem, candidate: DistVector) -> None:
             )
 
 
+def _log_ratio(q: float, p: float) -> float:
+    """log(q / p) for positive q and p, through the quotient when it is a normal double.
+
+    A subnormal p can overflow the quotient to inf, and a tiny q can round it
+    to zero or a subnormal; the difference of the two logs has neither problem.
+    """
+    r = q / p
+    if _MIN_NORMAL <= r < math.inf:
+        return math.log(r)
+    return math.log(q) - math.log(p)
+
+
 def objective_value(problem: SoftUpdateProblem, candidate: DistVector) -> float:
     """J(candidate), with the 0 log 0 terms dropped by convention."""
     _check_candidate(problem, candidate)
@@ -135,7 +176,7 @@ def objective_value(problem: SoftUpdateProblem, candidate: DistVector) -> float:
     for i, q in enumerate(candidate.probs):
         if q > 0:
             terms.append(
-                q * (problem.reward[i] - math.log(q / p[i]) / alpha + problem.terminal[i])
+                q * (problem.reward[i] - _log_ratio(q, p[i]) / alpha + problem.terminal[i])
             )
     return fsum(terms)
 
@@ -149,7 +190,7 @@ def kl_divergence(q: DistVector, p: DistVector) -> float:
         if qi > 0:
             if pi == 0:
                 raise SupportViolation(f"KL undefined: q has mass at index {i} but p does not")
-            terms.append(qi * math.log(qi / pi))
+            terms.append(qi * _log_ratio(qi, pi))
     return fsum(terms)
 
 

@@ -14,17 +14,21 @@ from fractions import Fraction
 
 from softtilt import (
     Assignment,
+    CertificateStatus,
     DistVector,
     EventValueFunction,
     GaugeShift,
+    InvalidBounds,
     JointTable,
     SoftUpdateProblem,
     SolverConfig,
     UndefinedPMI,
+    ValidationError,
     VariableSpec,
     ZeroMassContext,
     iter_group_assignments,
 )
+from softtilt.countable import _TruncationRun
 
 VAR_NAMES = ("X", "Y", "Z")
 BITS = ("0", "1")
@@ -196,3 +200,67 @@ def ref_pmi(joint: JointTable, x, z, y) -> float:
     if p_xyz == 0:
         return -math.inf
     return math.log(float((p_xyz * p_y) / (p_yz * p_xy)))
+
+
+# Plain per-term reference for the countable kernel: the term-by-term scan
+# and the generator logsumexp that softtilt.countable and softtilt.tilt must
+# agree with bit for bit.
+
+def ref_logsumexp(values) -> float:
+    xs = list(values)
+    for x in xs:
+        if math.isnan(x) or x == math.inf:
+            raise ValidationError(f"logsumexp requires values in [-inf, inf), got {x!r}")
+    if not xs:
+        return -math.inf
+    m = max(xs)
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(math.fsum(math.exp(x - m) for x in xs if x > -math.inf))
+
+
+def ref_truncate(family, eps_tail, start, max_doublings, explosion_log) -> _TruncationRun:
+    """softtilt.countable._truncate as a scan; the schedule and eps_tail must be valid."""
+    log_terms: list[float] = []
+    prev_bound, prev_term, run = math.inf, None, None
+    for k in range(max_doublings + 1):
+        n_stop = start << k
+        while len(log_terms) <= n_stop:
+            n = len(log_terms)
+            lp = float(family.log_prior_mass(n))
+            if math.isnan(lp) or lp == math.inf:
+                raise ValidationError(f"log prior mass at n={n} must be in [-inf, inf), got {lp!r}")
+            if lp == -math.inf:
+                log_terms.append(-math.inf)
+                continue
+            s = float(family.payoff(n))
+            if math.isnan(s) or s == math.inf:
+                raise ValidationError(f"payoff at n={n} must be in [-inf, inf), got {s!r}")
+            log_terms.append(lp + s)
+        log_partial = ref_logsumexp(log_terms)
+        bound = float(family.tail_bound(n_stop))
+        if math.isnan(bound) or bound < 0:
+            raise InvalidBounds(f"tail bound at N={n_stop} must be >= 0, got {bound!r}")
+        if bound > prev_bound:
+            raise InvalidBounds(
+                f"tail bound increased along the schedule: {prev_bound!r} -> {bound!r} "
+                f"at N={n_stop}"
+            )
+        prev_bound = bound
+        status = CertificateStatus.INCONCLUSIVE
+        if log_partial > -math.inf and (
+            bound == 0.0 or (bound > 0.0 and math.log(bound) < math.log(eps_tail) + log_partial)
+        ):
+            status = CertificateStatus.FINITE
+        elif (
+            log_partial > explosion_log
+            and log_terms[n_stop] > -math.inf
+            and prev_term is not None
+            and log_terms[n_stop] >= prev_term - 1e-12
+        ):
+            status = CertificateStatus.DIVERGED
+        prev_term = log_terms[n_stop]
+        run = _TruncationRun(status, n_stop, log_partial, bound, log_terms)
+        if status is not CertificateStatus.INCONCLUSIVE:
+            return run
+    return run

@@ -157,6 +157,21 @@ class TestIdentify:
 
 
 class TestCheck:
+    def test_decomposition_with_subnormal_prior_passes(self, capsys, tmp_path):
+        # the ROADMAP 4a joint: q / p overflowed in the KL terms at p = 1e-320
+        joint = write_json(tmp_path / "overflow.json", joint_to_doc(overflow_joint()))
+        prefix = tmp_path / "ov"
+        assert main(["identify", joint, "--out", str(prefix)]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, [
+            "check", joint, "--rewards", f"{prefix}.rewards.json",
+            "--checks", "decomposition", "--fill-zero",
+        ])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["all_passed"] is True
+        assert doc["checks"][0]["max_residual"] < 1e-10
+
     def test_calibrated_pair_passes_everything(self, capsys, identified):
         doc = run_json(
             capsys,
@@ -318,3 +333,32 @@ class TestCountable:
         fam = write_json(tmp_path / "fam.json", self.family_doc(math.log(2.0)))
         doc = run_json(capsys, ["countable", fam, "--max-doublings", "3"])
         assert doc["status"] == "inconclusive"
+
+
+class TestWriteFailures:
+    """An --out that cannot be written is one error line, exit 1, and no files."""
+
+    def assert_one_error_line(self, code, out, err):
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_countable_into_missing_directory(self, capsys, tmp_path):
+        fam = write_json(tmp_path / "fam.json", TestCountable().family_doc(math.log(1.5)))
+        target = tmp_path / "missing" / "x.json"
+        self.assert_one_error_line(*run(capsys, ["countable", fam, "--out", str(target)]))
+        assert not target.parent.exists()
+
+    def test_identify_into_missing_directory(self, capsys, tmp_path):
+        prefix = tmp_path / "missing" / "run"
+        self.assert_one_error_line(*run(capsys, ["identify", F3, "--out", str(prefix)]))
+        assert not prefix.parent.exists()
+
+    def test_identify_removes_artifacts_written_before_a_failure(self, capsys, tmp_path):
+        # the second artifact's path is a directory, so its write fails after
+        # the first artifact was written
+        (tmp_path / "run.rewards.json").mkdir()
+        prefix = tmp_path / "run"
+        self.assert_one_error_line(*run(capsys, ["identify", F3, "--out", str(prefix)]))
+        assert [p.name for p in tmp_path.iterdir()] == ["run.rewards.json"]
+        assert not any((tmp_path / "run.rewards.json").iterdir())

@@ -2,21 +2,31 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from softtilt import (
     CertificateStatus,
     CountableFamily,
     InvalidBounds,
     NotFinite,
+    SoftTiltError,
     ValidationError,
+    countable,
     log_normalizer_truncated,
+    logsumexp,
     solve_tilt,
     tilt_truncated,
 )
-from helpers import random_problem
+from softtilt.cli import main
+from helpers import random_problem, ref_logsumexp, ref_truncate
 
 EPS = 1e-12
 
@@ -212,3 +222,236 @@ class TestContracts:
             tilt_truncated(geometric_payoff_family(3.0), EPS)
         with pytest.raises(NotFinite):
             tilt_truncated(geometric_payoff_family(2.0), EPS, max_doublings=3)
+
+
+# ------------------------------------------- chunked kernel against the scan
+
+CHUNK = countable._CHUNK
+
+
+def _outcome(fn):
+    """("ok", repr of the result) or (error type, message) of fn()."""
+    try:
+        return "ok", repr(fn())
+    except SoftTiltError as exc:
+        return type(exc), str(exc)
+
+
+def _position(rng: random.Random, terms: int) -> int:
+    """An index below `terms`, often next to a chunk boundary."""
+    edges = range(CHUNK, terms, CHUNK)
+    if edges and rng.random() < 0.5:
+        return min(terms - 1, max(0, rng.choice(edges) + rng.randint(-2, 1)))
+    return rng.randrange(terms)
+
+
+def _random_family(rng: random.Random, terms: int) -> CountableFamily:
+    """A built-in family, or a custom one with zero-mass n, -inf payoffs and
+    NaN, +inf or overflowing values injected somewhere in the first `terms` n."""
+    kind = rng.choice(("linear", "constant", "finite", "custom", "custom"))
+    q = rng.uniform(0.05, 0.95)
+    if kind == "linear":
+        return CountableFamily.geometric_linear(q, rng.uniform(-3.0, 1.5), rng.uniform(-2.0, 2.0))
+    if kind == "constant":
+        return CountableFamily.geometric_constant(q, rng.uniform(-5.0, 700.0))
+    if kind == "finite":
+        return CountableFamily.from_finite(random_problem(rng, max_k=12))
+    log_q, head, slope = math.log(q), math.log1p(-q), rng.uniform(-1.0, 1.0)
+    zero_mass = {_position(rng, terms) for _ in range(rng.randint(0, 3))}
+    sinks = {_position(rng, terms) for _ in range(rng.randint(0, 3))}
+    bad_prior, bad_payoff = (
+        {_position(rng, terms): rng.choice((math.nan, math.inf))} if rng.random() < 0.4 else {}
+        for _ in range(2)
+    )
+    # 1e308 + 1e308 overflows to +inf although both values are valid
+    huge = {_position(rng, terms)} if rng.random() < 0.3 else set()
+    ratio = rng.uniform(0.1, 0.9)
+    tail = rng.choice((lambda n: math.inf, lambda n: 0.0, lambda n: 2.0 * ratio ** (n + 1)))
+
+    def log_prior_mass(n):
+        if n in bad_prior:
+            return bad_prior[n]
+        if n in huge:
+            return 1e308
+        return -math.inf if n in zero_mass else head + n * log_q
+
+    def payoff(n):
+        if n in bad_payoff:
+            return bad_payoff[n]
+        if n in huge:
+            return 1e308
+        return -math.inf if n in sinks else slope * n
+
+    return CountableFamily(log_prior_mass, payoff, tail)
+
+
+def _recorded(family: CountableFamily) -> CountableFamily:
+    """The family with its callables checked against the call contract."""
+    priors: dict[int, float] = {}
+    payoffs: set[int] = set()
+
+    def log_prior_mass(n):
+        assert n not in priors, f"log_prior_mass called twice at n={n}"
+        priors[n] = family.log_prior_mass(n)
+        return priors[n]
+
+    def payoff(n):
+        assert n not in payoffs, f"payoff called twice at n={n}"
+        assert -math.inf < float(priors[n]) < math.inf, f"payoff called at zero-mass n={n}"
+        payoffs.add(n)
+        return family.payoff(n)
+
+    return dataclasses.replace(family, log_prior_mass=log_prior_mass, payoff=payoff)
+
+
+class TestKernelAgainstScan:
+    """The chunked kernel against the per-term scan in helpers, bit for bit."""
+
+    @seed(0xC4A1)
+    @settings(max_examples=60)
+    @given(
+        case=st.integers(min_value=0, max_value=2**32 - 1),
+        start=st.one_of(st.integers(1, 8), st.integers(CHUNK - 3, CHUNK + 3)),
+        doublings=st.integers(0, 6),
+    )
+    def test_solvers_match_reference(self, case, start, doublings):
+        if start > 8:
+            doublings = min(doublings, 1)
+        rng = random.Random(case)
+        family = _random_family(rng, (start << doublings) + 1)
+        kwargs = {"eps_tail": rng.choice((1e-12, 1e-3)), "start": start, "max_doublings": doublings}
+        for solver in (log_normalizer_truncated, tilt_truncated):
+            got = _outcome(lambda: solver(_recorded(family), **kwargs))
+            with mock.patch.object(countable, "_truncate", ref_truncate):
+                want = _outcome(lambda: solver(family, **kwargs))
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "bad_payoff_at, bad_prior_at, doublings",
+        [(3, 7, 0), (7, 3, 0), (CHUNK - 1, CHUNK, 0), (CHUNK, CHUNK, 0), (CHUNK + 2, CHUNK + 5, 1)],
+    )
+    def test_first_invalid_value_wins(self, bad_payoff_at, bad_prior_at, doublings):
+        # a scan meets the payoff at n before the prior mass at n + 1, so the
+        # earlier bad value raises, whether or not both lie in one chunk
+        family = CountableFamily(
+            log_prior_mass=lambda n: math.nan if n == bad_prior_at else -0.5 * (n + 1),
+            payoff=lambda n: math.inf if n == bad_payoff_at else 0.0,
+            tail_bound=lambda n: math.inf,
+        )
+        got = _outcome(
+            lambda: log_normalizer_truncated(
+                _recorded(family), EPS, start=CHUNK, max_doublings=doublings
+            )
+        )
+        assert got[0] is ValidationError
+        assert got == _outcome(lambda: ref_truncate(family, EPS, CHUNK, doublings, 500.0))
+
+    @seed(0x15E)
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(), st.floats(-5.0, 5.0), st.sampled_from((-math.inf, math.inf, math.nan))
+            ),
+            max_size=8,
+        ),
+        st.sampled_from((list, tuple, iter, lambda xs: (x for x in xs), lambda xs: map(float, xs))),
+    )
+    @example([], list)
+    @example([], iter)
+    @example([-math.inf, -math.inf], tuple)
+    def test_logsumexp_matches_reference(self, xs, wrap):
+        assert _outcome(lambda: logsumexp(wrap(xs))) == _outcome(lambda: ref_logsumexp(xs))
+
+
+# -------------------------------- reports pinned for the benchmark families
+
+BENCH_FAMILIES = {
+    "finite_fast": (
+        '{"prior": {"kind": "geometric", "q": 0.5}, "payoff": {"kind": "linear", '
+        '"slope": 0.4054651081081644}, "bounds": {"tail": "geometric", "payoff": "linear"}}',
+        """{
+  "eps_tail": 9.9999999999999998e-13,
+  "family": "geometric(q=0.5) with linear payoff",
+  "log_normalizer": 0.69314718055994529,
+  "log_partial": 0.69314718055994529,
+  "status": "finite",
+  "tail_bound": 1.5273303196353799e-16,
+  "terms": 128
+}
+""",
+    ),
+    "finite_slow": (
+        '{"prior": {"kind": "geometric", "q": 0.9}, "payoff": {"kind": "linear", '
+        '"slope": 0.10526051565782635}, "bounds": {"tail": "geometric", "payoff": "linear"}}',
+        """{
+  "eps_tail": 9.9999999999999998e-13,
+  "family": "geometric(q=0.9) with linear payoff",
+  "log_normalizer": 6.9078052785661237,
+  "log_partial": 6.9078052785661237,
+  "status": "finite",
+  "tail_bound": 1.6999641089308219e-20,
+  "terms": 524288
+}
+""",
+    ),
+    "ratio_one": (
+        '{"prior": {"kind": "geometric", "q": 0.5}, "payoff": {"kind": "linear", '
+        '"slope": 0.6931471805599453}, "bounds": {"tail": "geometric", "payoff": "linear"}}',
+        """{
+  "eps_tail": 9.9999999999999998e-13,
+  "family": "geometric(q=0.5) with linear payoff",
+  "log_normalizer": 13.862944088010979,
+  "log_partial": 13.862944088010979,
+  "status": "inconclusive",
+  "tail_bound": "inf",
+  "terms": 2097152
+}
+""",
+    ),
+    "diverged": (
+        '{"prior": {"kind": "geometric", "q": 0.5}, "payoff": {"kind": "linear", '
+        '"slope": 1.0986122886681098}, "bounds": {"tail": "geometric", "payoff": "linear"}}',
+        """{
+  "eps_tail": 9.9999999999999998e-13,
+  "family": "geometric(q=0.5) with linear payoff",
+  "log_normalizer": "inf",
+  "log_partial": 830.79800651362905,
+  "status": "diverged",
+  "tail_bound": "inf",
+  "terms": 2048
+}
+""",
+    ),
+    "constant": (
+        '{"prior": {"kind": "geometric", "q": 0.99}, "payoff": {"kind": "constant", '
+        '"value": 3.0}, "bounds": {"tail": "geometric", "payoff": "constant"}}',
+        """{
+  "eps_tail": 9.9999999999999998e-13,
+  "family": "geometric(q=0.99) with constant payoff",
+  "log_normalizer": 3,
+  "log_partial": 3,
+  "status": "finite",
+  "tail_bound": 2.6319383478072616e-17,
+  "terms": 4096
+}
+""",
+    ),
+}
+
+
+class TestBenchFamilies:
+    @pytest.mark.parametrize("label", sorted(BENCH_FAMILIES))
+    def test_report_bytes(self, label, tmp_path, capsys):
+        doc, report = BENCH_FAMILIES[label]
+        path = tmp_path / "family.json"
+        path.write_text(doc, encoding="utf-8")
+        assert main(["countable", str(path)]) == 0
+        assert capsys.readouterr().out == report
+        if label == "ratio_one":
+            # math.log(2.0) lies 2.3e-17 below ln 2, so for these exact inputs
+            # q e^slope = e^(-2.3e-17) < 1 although 0.5 * math.exp(slope)
+            # rounds to 1.0: the series converges, to Z ~ 2.2e16, and a
+            # 'diverged' certificate would be unsound
+            assert json.loads(doc)["payoff"]["slope"] == math.log(2.0)
+            assert json.loads(report)["status"] != CertificateStatus.DIVERGED.value

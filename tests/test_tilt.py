@@ -227,6 +227,23 @@ class TestKL:
         with pytest.raises(SupportViolation):
             kl_divergence(p, DistVector(over, (1.0, 0.0)))
 
+    def test_subnormal_prior_mass_does_not_overflow(self):
+        # 0.5 / 1e-320 overflows a double; the log-ratio must not
+        over = outcome_specs(2)
+        p = DistVector(over, (1.0, 1e-320))
+        q = DistVector(over, (0.5, 0.5))
+        log_ratio = math.log(0.5) - math.log(1e-320)
+        assert kl_divergence(q, p) == pytest.approx(
+            0.5 * math.log(0.5) + 0.5 * log_ratio, rel=1e-15
+        )
+        problem = SoftUpdateProblem(
+            prior=p, reward=(0.0, 0.0), terminal=(0.0, 0.0), config=SolverConfig(alpha=2.0)
+        )
+        assert objective_value(problem, q) == pytest.approx(
+            -0.5 * (math.log(0.5) + log_ratio) / 2.0, rel=1e-15
+        )
+        assert kl_decomposition_residual(problem, q) <= 1e-12
+
     def test_decomposition_residual_small_everywhere(self, rng):
         for _ in range(40):
             problem = random_problem(rng)
