@@ -36,9 +36,9 @@ from .errors import (
 from .identify import (
     Direction,
     RewardTable,
+    _posterior_and_residual,
     calibrate_rewards,
     check_admissibility,
-    construct_posterior,
     default_direction,
     gauge_equivalent,
     identify_interaction,
@@ -58,7 +58,7 @@ from .io import (
     reward_to_doc,
     values_from_doc,
 )
-from .tilt import SolverConfig, kl_decomposition_residual, logsumexp, solve_tilt
+from .tilt import SolverConfig, kl_decomposition_residual, solve_tilt
 
 IDENTITY_TOL = 1e-10
 EXTERNAL_ADMIT_TOL = 1e-8
@@ -73,7 +73,7 @@ def _obj(assignment: Assignment) -> dict:
 
 def _sorted_contexts(joint: JointTable, names: Sequence[str]) -> list[Assignment]:
     cells = iter_group_assignments(joint.group(names))
-    return sorted(cells, key=lambda a: a.sort_key)
+    return sorted(cells, key=lambda a: a.items_sorted)
 
 
 def _render(doc) -> str:
@@ -114,7 +114,7 @@ def _pick_direction(args, joint: JointTable) -> Direction:
 
 
 def _dist_entries(dist: DistVector) -> list[dict]:
-    rows = sorted(zip(dist.outcomes(), dist.probs), key=lambda t: t[0].sort_key)
+    rows = sorted(zip(dist.outcomes(), dist.probs), key=lambda t: t[0].items_sorted)
     return [{"outcome": _obj(o), "q": float(p)} for o, p in rows]
 
 
@@ -188,7 +188,6 @@ def cmd_identify(args) -> int:
     terminals = (
         values_from_doc(load_json(args.values), joint) if args.values else EventValueFunction.zero()
     )
-    table = identify_interaction(joint, direction)
     calib = calibrate_rewards(joint, direction, terminals, args.alpha, baseline=baseline)
 
     skipped = [
@@ -204,10 +203,10 @@ def cmd_identify(args) -> int:
     report.update(
         {
             "alpha": float(args.alpha),
-            "contexts": len(table.values),
+            "contexts": len(calib.interaction.values),
             "context_values": [
                 {"context": _obj(ctx), "V": calib.context_values[ctx]}
-                for ctx in sorted(calib.context_values, key=lambda a: a.sort_key)
+                for ctx in sorted(calib.context_values, key=lambda a: a.items_sorted)
             ],
             "excluded": excluded,
             "skipped": skipped,
@@ -215,7 +214,7 @@ def cmd_identify(args) -> int:
     )
     prefix = args.out
     _write_files([
-        (f"{prefix}.interaction.json", _render(interaction_to_doc(table, args.alpha))),
+        (f"{prefix}.interaction.json", _render(interaction_to_doc(calib.interaction, args.alpha))),
         (f"{prefix}.rewards.json", _render(reward_to_doc(args.alpha, calib.rewards, terminals))),
         (f"{prefix}.report.json", _render(report)),
     ])
@@ -244,11 +243,11 @@ class CheckReport:
             "passed": self.passed,
             "residuals": [
                 {"at": _obj(cell), "residual": value}
-                for cell, value in sorted(self.residuals, key=lambda t: t[0].sort_key)
+                for cell, value in sorted(self.residuals, key=lambda t: t[0].items_sorted)
             ],
             "skipped": [
                 {"at": _obj(cell), "reason": reason}
-                for cell, reason in sorted(self.skipped, key=lambda t: t[0].sort_key)
+                for cell, reason in sorted(self.skipped, key=lambda t: t[0].items_sorted)
             ],
         }
         if self.details is not None:
@@ -265,7 +264,7 @@ def _check_gauge(joint: JointTable, loaded: LoadedRewards, tol: float) -> CheckR
     if cmp.shifts is not None:
         details["shifts"] = [
             {"context": _obj(ctx), "c": cmp.shifts[ctx]}
-            for ctx in sorted(cmp.shifts, key=lambda a: a.sort_key)
+            for ctx in sorted(cmp.shifts, key=lambda a: a.items_sorted)
         ]
     if cmp.witness is not None:
         details["witness"] = _obj(cmp.witness[0].union(cmp.witness[1]))
@@ -464,25 +463,19 @@ def cmd_construct(args) -> int:
             continue
         row = table.values[ctx]
         signal = []
-        log_terms = []
         for outcome, p in zip(prior.outcomes(), prior.probs):
-            if p == 0:
-                signal.append(-math.inf)
-                continue
-            if outcome not in row:
+            if p > 0 and outcome not in row:
                 raise CoverageMismatch(
                     f"interaction file misses prior-supported outcome {outcome!r} "
                     f"at context {ctx!r}"
                 )
-            signal.append(row[outcome])
-            if row[outcome] > -math.inf:
-                log_terms.append(math.log(p) + row[outcome])
-        posterior = construct_posterior(prior, signal, tol_admit=tol_admit)
+            signal.append(row.get(outcome, -math.inf))
+        posterior, residual = _posterior_and_residual(prior, signal, tol_admit)
         entries.append(
             {
                 "context": _obj(ctx),
                 "posterior": _dist_entries(posterior),
-                "normalization_residual": abs(logsumexp(log_terms)),
+                "normalization_residual": residual,
             }
         )
     doc = direction_fields(direction)

@@ -70,10 +70,7 @@ class EventValueFunction:
         return self._default
 
     def events(self) -> list[Assignment]:
-        return sorted(self._entries, key=lambda a: a.sort_key)
-
-    def has(self, event) -> bool:
-        return as_assignment(event) in self._entries
+        return sorted(self._entries, key=lambda a: a.items_sorted)
 
     def value(self, event) -> float:
         key = as_assignment(event)
@@ -152,20 +149,6 @@ def build_problem(
     )
 
 
-def build_swapped_problem(
-    pair: DirectionPair,
-    rewards_swapped: RewardTable,
-    context,
-) -> SoftUpdateProblem:
-    """The swapped-direction problem at one (base, former-target) context."""
-    if rewards_swapped.direction != pair.swapped:
-        raise ValidationError(
-            f"reward table direction {rewards_swapped.direction.tag!r} is not the "
-            f"swap of {pair.forward.tag!r}"
-        )
-    return build_problem(pair.joint, pair.values, pair.config, rewards_swapped, context)
-
-
 def commutativity_residual(
     rewards_fwd: RewardTable,
     values_fwd: Mapping[Assignment, float],
@@ -185,8 +168,8 @@ def commutativity_residual(
     triples_fwd = _triples(rewards_fwd)
     triples_swp = _triples(rewards_swp)
     if set(triples_fwd) != set(triples_swp):
-        only_f = sorted(set(triples_fwd) - set(triples_swp), key=lambda a: a.sort_key)
-        only_s = sorted(set(triples_swp) - set(triples_fwd), key=lambda a: a.sort_key)
+        only_f = sorted(set(triples_fwd) - set(triples_swp), key=lambda a: a.items_sorted)
+        only_s = sorted(set(triples_swp) - set(triples_fwd), key=lambda a: a.items_sorted)
         example = (only_f or only_s)[0]
         raise CoverageMismatch(
             f"tables cover different triples ({len(only_f)} forward-only, "
@@ -195,7 +178,7 @@ def commutativity_residual(
     values_fwd = {as_assignment(k): float(v) for k, v in dict(values_fwd).items()}
     values_swp = {as_assignment(k): float(v) for k, v in dict(values_swp).items()}
     residuals: dict[Assignment, float] = {}
-    for triple in sorted(triples_fwd, key=lambda a: a.sort_key):
+    for triple in sorted(triples_fwd, key=lambda a: a.items_sorted):
         ctx_f = triple.restrict(fwd.conditioning)
         ctx_s = triple.restrict(swp.conditioning)
         if ctx_f not in values_fwd:
@@ -301,7 +284,7 @@ def order_independence_check(
         identification=identification,
         symmetry=symmetry,
         commutativity=commutativity,
-        skipped=tuple(sorted(skipped, key=lambda item: item[0].sort_key)),
+        skipped=tuple(sorted(skipped, key=lambda item: item[0].items_sorted)),
         tol=tol,
         max_residual=max_residual,
         passed=max_residual <= tol,

@@ -87,11 +87,7 @@ class Assignment(Mapping):
 
     @property
     def items_sorted(self) -> tuple[tuple[str, str], ...]:
-        return self._items
-
-    @property
-    def sort_key(self) -> tuple[tuple[str, str], ...]:
-        """Lexicographic key over the canonicalized binding list."""
+        """The bindings sorted by name; also the canonical lexicographic sort key."""
         return self._items
 
     def __getitem__(self, name: str) -> str:
@@ -197,7 +193,7 @@ class JointTable:
         self._total = total
         if abs(total - 1) > Fraction(self.tol_norm):
             raise ValidationError(
-                f"total mass {float(total)!r} deviates from 1 by more than {self.tol_norm!r}"
+                f"masses sum to {float(total)!r}, off 1 by more than {self.tol_norm!r}"
             )
 
     def _validate_full(self, cell: Assignment) -> None:
@@ -272,11 +268,7 @@ class JointTable:
         return float(self.event_mass(event))
 
     def support(self) -> list[tuple[Assignment, Fraction]]:
-        return sorted(self._mass.items(), key=lambda item: item[0].sort_key)
-
-    def assignments(self):
-        """All full assignments in flattened product order."""
-        return iter_group_assignments(self._variables)
+        return sorted(self._mass.items(), key=lambda item: item[0].items_sorted)
 
     def masses(self) -> dict[Assignment, Fraction]:
         return dict(self._mass)

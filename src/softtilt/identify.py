@@ -10,7 +10,7 @@ calibration takes an explicit baseline convention for V(ctx), default 0.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from math import fsum
 from statistics import median
@@ -100,10 +100,10 @@ class InteractionTable:
     values: dict[Assignment, dict[Assignment, float]]
 
     def contexts(self) -> list[Assignment]:
-        return sorted(self.values, key=lambda a: a.sort_key)
+        return sorted(self.values, key=lambda a: a.items_sorted)
 
     def outcomes_for(self, context: Assignment) -> list[Assignment]:
-        return sorted(self.values[context], key=lambda a: a.sort_key)
+        return sorted(self.values[context], key=lambda a: a.items_sorted)
 
     def value(self, context, outcome) -> float:
         return self.values[as_assignment(context)][as_assignment(outcome)]
@@ -118,10 +118,10 @@ class RewardTable:
     convention: str = "zero context baseline"
 
     def contexts(self) -> list[Assignment]:
-        return sorted(self.entries, key=lambda a: a.sort_key)
+        return sorted(self.entries, key=lambda a: a.items_sorted)
 
     def outcomes_for(self, context: Assignment) -> list[Assignment]:
-        return sorted(self.entries[context], key=lambda a: a.sort_key)
+        return sorted(self.entries[context], key=lambda a: a.items_sorted)
 
     def reward(self, context, outcome) -> float:
         return self.entries[as_assignment(context)][as_assignment(outcome)]
@@ -159,21 +159,22 @@ class GaugeShift:
 
 @dataclass
 class CalibrationResult:
-    """Rewards plus the context values V(ctx) fixed by the baseline convention."""
+    """Rewards plus the context values V(ctx) fixed by the baseline convention,
+    and the interaction table the rewards were calibrated from."""
 
     rewards: RewardTable
     context_values: dict[Assignment, float]
     excluded: tuple[tuple[Assignment, Assignment], ...]
     alpha: float
+    interaction: InteractionTable
 
 
-def identify_interaction(joint: JointTable, direction: Direction, alpha: float | None = None) -> InteractionTable:
+def identify_interaction(joint: JointTable, direction: Direction) -> InteractionTable:
     """Extract i(target; observed | base) on every positive-mass context.
 
-    alpha is accepted for signature parity with calibration but the table is
-    alpha-free: the scale factor cancels out of the identified ratio.
+    The table is alpha-free: the scale factor cancels out of the identified
+    ratio.
     """
-    del alpha
     reduced = _reduced(joint, direction)
     m_cond = marginal(reduced, direction.conditioning)
     m_base = marginal(reduced, direction.base) if direction.base else None
@@ -257,6 +258,7 @@ def calibrate_rewards(
         context_values=context_values,
         excluded=tuple(excluded),
         alpha=alpha,
+        interaction=table,
     )
 
 
@@ -361,27 +363,44 @@ def _supported_outcomes(joint: JointTable, direction: Direction, ctx: Assignment
     return out
 
 
+def _log_normalizer(prior: DistVector, signal: Sequence[float]) -> tuple[list[float], float]:
+    """The log-terms log p(x) + signal(x) and their log-normalizer.
+
+    signal is aligned with the prior's outcomes, and so are the terms: -inf
+    where p(x) = 0 or the signal is -inf. NaN or +inf at a supported outcome
+    is a ValidationError.
+    """
+    if len(signal) != len(prior.probs):
+        raise ValidationError(
+            f"signal must have length {len(prior.probs)}, got {len(signal)}"
+        )
+    log_terms: list[float] = []
+    for i, (p, v) in enumerate(zip(prior.probs, signal)):
+        if p == 0:
+            log_terms.append(-math.inf)
+        elif math.isnan(v) or v == math.inf:
+            raise ValidationError(f"signal at supported outcome {i} must be in [-inf, inf)")
+        else:
+            log_terms.append(math.log(p) + v)
+    return log_terms, logsumexp(log_terms)
+
+
 def check_admissibility(table: InteractionTable, joint: JointTable) -> dict[Assignment, float]:
     """Per-context |log sum_x P(x|base) exp(i(x))|; zero for any true interaction."""
     direction = table.direction
     residuals: dict[Assignment, float] = {}
     for ctx in table.contexts():
         prior = conditional(joint, direction.target, ctx.restrict(direction.base))
-        terms = []
         row = table.values[ctx]
+        signal = []
         for outcome, p in zip(prior.outcomes(), prior.probs):
-            if p == 0:
-                continue
-            if outcome not in row:
+            if p > 0 and outcome not in row:
                 raise ValidationError(
                     f"interaction table misses prior-supported outcome {outcome!r} "
                     f"at context {ctx!r}"
                 )
-            value = row[outcome]
-            if value == -math.inf:
-                continue
-            terms.append(math.log(p) + value)
-        residuals[ctx] = abs(logsumexp(terms))
+            signal.append(row.get(outcome, -math.inf))
+        residuals[ctx] = abs(_log_normalizer(prior, signal)[1])
     return residuals
 
 
@@ -395,30 +414,17 @@ def construct_posterior(
     signal is aligned with the prior's outcomes; -inf empties a cell. Raises
     InadmissibleSignal when |log sum p exp(signal)| exceeds tol_admit.
     """
-    values = tuple(float(v) for v in signal)
-    if len(values) != len(prior.probs):
-        raise ValidationError(
-            f"signal must have length {len(prior.probs)}, got {len(values)}"
-        )
-    log_terms: list[float] = []
-    for i, (p, v) in enumerate(zip(prior.probs, values)):
-        if p == 0:
-            continue
-        if math.isnan(v) or v == math.inf:
-            raise ValidationError(f"signal at supported outcome {i} must be in [-inf, inf)")
-        if v > -math.inf:
-            log_terms.append(math.log(p) + v)
-    norm = logsumexp(log_terms)
+    return _posterior_and_residual(prior, signal, tol_admit)[0]
+
+
+def _posterior_and_residual(prior: DistVector, signal, tol_admit: float) -> tuple[DistVector, float]:
+    """construct_posterior's posterior together with its normalization residual."""
+    log_terms, norm = _log_normalizer(prior, tuple(float(v) for v in signal))
     residual = abs(norm)
     if residual > tol_admit:
         raise InadmissibleSignal(
             f"signal violates normalization: residual {residual!r} > {tol_admit!r}"
         )
-    weights = []
-    for p, v in zip(prior.probs, values):
-        if p == 0 or v == -math.inf:
-            weights.append(0.0)
-        else:
-            weights.append(math.exp(math.log(p) + v - norm))
+    weights = [math.exp(t - norm) for t in log_terms]
     total = fsum(weights)
-    return DistVector(prior.over, tuple(w / total for w in weights))
+    return DistVector(prior.over, tuple(w / total for w in weights)), residual

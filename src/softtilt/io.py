@@ -13,13 +13,12 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from math import fsum
 from pathlib import Path
 
 from .coherence import EventValueFunction
 from .countable import CountableFamily
-from .dist import Assignment, JointTable, VariableSpec
-from .errors import SchemaError, SoftTiltError, ValidationError
+from .dist import Assignment, JointTable, VariableSpec, conditional
+from .errors import CoverageMismatch, SchemaError, SoftTiltError, ValidationError
 from .identify import Direction, GaugeShift, InteractionTable, RewardTable
 
 JOINT_SUM_TOL = 1e-9
@@ -93,27 +92,11 @@ def joint_from_doc(doc) -> JointTable:
     mass_docs = doc.get("mass")
     _require(isinstance(mass_docs, list), "'mass' must be an array")
     pairs = []
-    seen: set[Assignment] = set()
-    total_probe = []
     for item in mass_docs:
         _require(isinstance(item, dict), "each mass entry must be an object")
         assign = _binding(item.get("assign"), "'assign'")
-        p = item.get("p")
-        _require(
-            isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(float(p)),
-            f"'p' at {assign!r} must be a finite number",
-        )
-        p = float(p)
-        _require(p >= 0, f"negative mass {p!r} at {assign!r}")
-        _require(assign not in seen, f"duplicate assignment {assign!r}")
-        seen.add(assign)
-        pairs.append((assign, p))
-        total_probe.append(p)
-    total = fsum(total_probe)
-    _require(
-        abs(total - 1.0) <= JOINT_SUM_TOL,
-        f"masses sum to {total!r}, off 1 by more than {JOINT_SUM_TOL!r}",
-    )
+        pairs.append((assign, _number(item.get("p"), f"'p' at {assign!r} must be a finite number")))
+    # JointTable checks labels, negative masses, duplicates and the total
     try:
         return JointTable(specs, pairs, tol_norm=JOINT_SUM_TOL)
     except ValidationError as exc:
@@ -242,15 +225,12 @@ class LoadedRewards:
     terminals: EventValueFunction
 
 
-def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRewards:
-    _require(isinstance(doc, dict), "reward document must be an object")
-    alpha = _number(doc.get("alpha"), "'alpha' must be a finite number")
-    _require(alpha > 0, f"'alpha' must be > 0, got {alpha!r}")
-    direction = direction_from_doc(doc, joint)
+def _entries(doc: dict, joint: JointTable, direction: Direction):
+    """Yield (context, outcome, entry) for each entry of a reward or interaction
+    document, its bindings checked against the joint and the direction."""
     entry_docs = doc.get("entries")
     _require(isinstance(entry_docs, list), "'entries' must be an array")
-    entries: dict[Assignment, dict[Assignment, float]] = {}
-    events: dict[Assignment, float] = {}
+    seen: set[tuple[Assignment, Assignment]] = set()
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
         ctx = _binding(item.get("context"), "'context'")
@@ -265,11 +245,22 @@ def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRe
             set(outcome) == set(direction.target),
             f"'outcome' must bind exactly {sorted(direction.target)!r}, got {outcome!r}",
         )
+        _require((ctx, outcome) not in seen, f"duplicate entry at {ctx!r}/{outcome!r}")
+        seen.add((ctx, outcome))
+        yield ctx, outcome, item
+
+
+def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRewards:
+    _require(isinstance(doc, dict), "reward document must be an object")
+    alpha = _number(doc.get("alpha"), "'alpha' must be a finite number")
+    _require(alpha > 0, f"'alpha' must be > 0, got {alpha!r}")
+    direction = direction_from_doc(doc, joint)
+    entries: dict[Assignment, dict[Assignment, float]] = {}
+    events: dict[Assignment, float] = {}
+    for ctx, outcome, item in _entries(doc, joint, direction):
         r = _number(item.get("r"), f"'r' at {ctx!r}/{outcome!r} must be a finite number")
         v = _number(item.get("V"), f"'V' at {ctx!r}/{outcome!r} must be a finite number")
-        row = entries.setdefault(ctx, {})
-        _require(outcome not in row, f"duplicate entry at {ctx!r}/{outcome!r}")
-        row[outcome] = r
+        entries.setdefault(ctx, {})[outcome] = r
         events[outcome.union(ctx)] = v
     _fill_or_check_coverage(joint, direction, entries, events, fill_zero)
     rewards = RewardTable(direction=direction, entries=entries, convention="external")
@@ -283,8 +274,6 @@ def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRe
 
 def _fill_or_check_coverage(joint, direction, entries, events, fill_zero: bool) -> None:
     """Every prior-supported outcome in a positive-mass context needs an entry."""
-    from .dist import conditional
-
     for ctx, row in entries.items():
         if joint.event_mass(ctx) == 0:
             continue  # handled at command level (skip or ZeroMassContext)
@@ -293,7 +282,7 @@ def _fill_or_check_coverage(joint, direction, entries, events, fill_zero: bool) 
             if p == 0 or outcome in row:
                 continue
             if not fill_zero:
-                raise SchemaError(
+                raise CoverageMismatch(
                     f"missing entry for outcome {outcome!r} at context {ctx!r} "
                     "(pass --fill-zero to default missing entries to 0)"
                 )
@@ -330,31 +319,14 @@ def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, Interact
         alpha = _number(alpha, "'alpha' must be a finite number")
         _require(alpha > 0, f"'alpha' must be > 0, got {alpha!r}")
     direction = direction_from_doc(doc, joint)
-    entry_docs = doc.get("entries")
-    _require(isinstance(entry_docs, list), "'entries' must be an array")
     values: dict[Assignment, dict[Assignment, float]] = {}
-    for item in entry_docs:
-        _require(isinstance(item, dict), "each entry must be an object")
-        ctx = _binding(item.get("context"), "'context'")
-        outcome = _binding(item.get("outcome"), "'outcome'")
-        _check_binding(joint, ctx, "'context'")
-        _check_binding(joint, outcome, "'outcome'")
-        _require(
-            set(ctx) == set(direction.conditioning),
-            f"'context' must bind exactly {sorted(direction.conditioning)!r}, got {ctx!r}",
-        )
-        _require(
-            set(outcome) == set(direction.target),
-            f"'outcome' must bind exactly {sorted(direction.target)!r}, got {outcome!r}",
-        )
+    for ctx, outcome, item in _entries(doc, joint, direction):
         raw = item.get("i")
         if raw == "-inf":
             value = -math.inf
         else:
             value = _number(raw, f"'i' at {ctx!r}/{outcome!r} must be a number or \"-inf\"")
-        row = values.setdefault(ctx, {})
-        _require(outcome not in row, f"duplicate entry at {ctx!r}/{outcome!r}")
-        row[outcome] = value
+        values.setdefault(ctx, {})[outcome] = value
     return alpha, InteractionTable(direction=direction, values=values)
 
 

@@ -152,7 +152,7 @@ def random_baseline(rng: random.Random, joint: JointTable, conditioning, scale: 
 
 
 def contexts_of(joint: JointTable, names) -> list[Assignment]:
-    return sorted(iter_group_assignments(joint.group(names)), key=lambda a: a.sort_key)
+    return sorted(iter_group_assignments(joint.group(names)), key=lambda a: a.items_sorted)
 
 
 # Plain scanning reference for the table kernel: every query sums over every

@@ -96,6 +96,20 @@ class TestSolve:
             {"context": {"Y": "1", "Z": "0"}, "reason": "zero conditioning mass"}
         ]
 
+    def test_identify_rewards_with_excluded_cells_need_fill_zero(self, capsys, tmp_path):
+        # identify leaves the posterior-null cell X=1 at (Y=0, Z=0) out of its
+        # rewards file; reading that file back is a coverage mismatch
+        sparse = write_json(tmp_path / "sparse.json", joint_to_doc(sparse_joint()))
+        prefix = tmp_path / "sp"
+        assert main(["identify", sparse, "--out", str(prefix)]) == 0
+        argv = ["solve", sparse, "--skip-zero-mass", "--rewards", f"{prefix}.rewards.json"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: missing entry for outcome") and err.count("\n") == 1
+        assert "--fill-zero" in err
+        doc = run_json(capsys, argv + ["--fill-zero"])
+        assert len(doc["entries"]) == 3
+
     def test_malformed_joint_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope", encoding="utf-8")

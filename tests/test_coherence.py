@@ -22,7 +22,6 @@ from softtilt import (
     ValidationError,
     ZeroMassContext,
     build_problem,
-    build_swapped_problem,
     calibrate_rewards,
     commutativity_residual,
     conditional,
@@ -120,11 +119,9 @@ class TestBuildProblem:
         # rewards calibrated in the swapped direction tilt P(z|y) into P(z|y,x)
         j = joint_f3()
         swp = calibrate_rewards(j, FWD.swapped(), EventValueFunction.zero(), alpha=1.0)
-        pair = DirectionPair(
-            joint=j, values=EventValueFunction.zero(), config=SolverConfig(alpha=1.0), forward=FWD
-        )
+        config = SolverConfig(alpha=1.0)
         for ctx in swp.rewards.contexts():
-            problem = build_swapped_problem(pair, swp.rewards, ctx)
+            problem = build_problem(j, EventValueFunction.zero(), config, swp.rewards, ctx)
             solution = solve_tilt(problem)
             assert total_variation(solution.optimizer, conditional(j, ["Z"], ctx)) <= 1e-12
 
@@ -160,15 +157,6 @@ class TestBuildProblem:
         broken = RewardTable(direction=FWD, entries=entries, convention="broken")
         with pytest.raises(ValidationError):
             build_problem(j, EventValueFunction.zero(), SolverConfig(alpha=1.0), broken, ctx)
-
-    def test_swapped_direction_mismatch_rejected(self):
-        j = joint_f3()
-        fwd = calibrate_rewards(j, FWD, EventValueFunction.zero(), alpha=1.0)
-        pair = DirectionPair(
-            joint=j, values=EventValueFunction.zero(), config=SolverConfig(alpha=1.0), forward=FWD
-        )
-        with pytest.raises(ValidationError):
-            build_swapped_problem(pair, fwd.rewards, {"Y": "0", "X": "0"})
 
 
 class TestCommutativityResidual:

@@ -10,6 +10,7 @@ import pytest
 
 from softtilt import (
     Assignment,
+    CoverageMismatch,
     Direction,
     EventValueFunction,
     SchemaError,
@@ -206,7 +207,7 @@ class TestRewardDoc:
     def test_missing_entry_suggests_fill_zero(self):
         j, _, doc = self.calibrated_doc()
         doc["entries"] = doc["entries"][1:]
-        with pytest.raises(SchemaError, match="fill-zero"):
+        with pytest.raises(CoverageMismatch, match="fill-zero"):
             reward_from_doc(doc, j)
         loaded = reward_from_doc(doc, j, fill_zero=True)
         # the dropped entry was context (Y=0, Z=0), outcome X=0
