@@ -25,18 +25,20 @@ from typing import Sequence
 
 from .coherence import DirectionPair, EventValueFunction, build_problem, order_independence_check
 from .countable import DEFAULT_MAX_DOUBLINGS, DEFAULT_START, log_normalizer_truncated
-from .dist import Assignment, DistVector, JointTable, conditional, iter_group_assignments
+from .dist import Assignment, DistVector, JointTable
 from .errors import (
     CoverageMismatch,
     OutputError,
     SchemaError,
     SoftTiltError,
+    ValidationError,
     ZeroMassContext,
 )
 from .identify import (
     Direction,
     RewardTable,
     _posterior_and_residual,
+    _split,
     calibrate_rewards,
     check_admissibility,
     default_direction,
@@ -71,9 +73,10 @@ def _obj(assignment: Assignment) -> dict:
     return dict(assignment.items_sorted)
 
 
-def _sorted_contexts(joint: JointTable, names: Sequence[str]) -> list[Assignment]:
-    cells = iter_group_assignments(joint.group(names))
-    return sorted(cells, key=lambda a: a.items_sorted)
+def _contexts(joint: JointTable, direction: Direction) -> list[tuple[Assignment, bool]]:
+    """Every context of a direction in canonical order, with whether its mass is positive."""
+    s = _split(joint, direction)
+    return [(s.contexts[ci], s.m_cond[ci] > 0) for ci in s.order]
 
 
 def _render(doc) -> str:
@@ -119,20 +122,15 @@ def _dist_entries(dist: DistVector) -> list[dict]:
 
 
 def _zero_rewards(joint: JointTable, direction: Direction) -> RewardTable:
-    outcomes = list(iter_group_assignments(joint.group(direction.target)))
-    entries = {
-        ctx: {o: 0.0 for o in outcomes}
-        for ctx in _sorted_contexts(joint, direction.conditioning)
-    }
+    outcomes = _split(joint, direction).outcomes
+    entries = {ctx: dict.fromkeys(outcomes, 0.0) for ctx, _ in _contexts(joint, direction)}
     return RewardTable(direction=direction, entries=entries, convention="zero rewards")
 
 
 def _require_context_coverage(joint: JointTable, table: RewardTable, label: str) -> None:
-    for ctx in _sorted_contexts(joint, table.direction.conditioning):
-        if joint.event_mass(ctx) > 0 and ctx not in table.entries:
-            raise CoverageMismatch(
-                f"{label} has no entries for positive-mass context {ctx!r}"
-            )
+    for ctx, positive in _contexts(joint, table.direction):
+        if positive and ctx not in table.entries:
+            raise CoverageMismatch(f"{label} has no entries for positive-mass context {ctx}")
 
 
 # ------------------------------------------------------------------ solve
@@ -151,19 +149,17 @@ def cmd_solve(args) -> int:
     config = SolverConfig(alpha=alpha)
     entries = []
     skipped = []
-    for ctx in _sorted_contexts(joint, direction.conditioning):
-        if joint.event_mass(ctx) == 0:
+    for ctx, positive in _contexts(joint, direction):
+        if not positive:
             if not args.skip_zero_mass:
                 raise ZeroMassContext(
-                    f"conditioning event {ctx!r} has zero probability "
+                    f"conditioning event {ctx} has zero probability "
                     "(pass --skip-zero-mass to skip such contexts)"
                 )
             skipped.append({"context": _obj(ctx), "reason": "zero conditioning mass"})
             continue
         if ctx not in rewards.entries:
-            raise CoverageMismatch(
-                f"reward file has no entries for positive-mass context {ctx!r}"
-            )
+            raise CoverageMismatch(f"reward file has no entries for positive-mass context {ctx}")
         solution = solve_tilt(build_problem(joint, terminals, config, rewards, ctx))
         entries.append(
             {
@@ -192,8 +188,8 @@ def cmd_identify(args) -> int:
 
     skipped = [
         {"context": _obj(ctx), "reason": "zero conditioning mass"}
-        for ctx in _sorted_contexts(joint, direction.conditioning)
-        if joint.event_mass(ctx) == 0
+        for ctx, positive in _contexts(joint, direction)
+        if not positive
     ]
     excluded = [
         {"context": _obj(ctx), "outcome": _obj(o), "reason": "zero joint mass"}
@@ -297,11 +293,16 @@ def _check_admissibility(
         table = identify_interaction(joint, loaded.direction)
         tolerance = IDENTITY_TOL if tol is None else tol
         source = "identified from joint"
-    residuals = check_admissibility(table, joint)
+    try:
+        residuals = check_admissibility(table, joint)
+    except ValidationError as exc:
+        if interaction_path is None:
+            raise
+        # the file misses a prior-supported outcome: a coverage fault, as in construct
+        raise CoverageMismatch(str(exc)) from None
     skipped = [
-        (ctx, "zero conditioning mass")
-        for ctx in _sorted_contexts(joint, loaded.direction.conditioning)
-        if joint.event_mass(ctx) == 0
+        (ctx, "zero conditioning mass") for ctx, positive in _contexts(joint, table.direction)
+        if not positive
     ]
     max_residual = max(residuals.values(), default=0.0)
     return CheckReport(
@@ -321,7 +322,7 @@ def _merge_terminals(a: EventValueFunction, b: EventValueFunction) -> EventValue
         v = b.value(event)
         if event in merged and abs(merged[event] - v) > 1e-12:
             raise CoverageMismatch(
-                f"terminal values disagree at event {event!r}: {merged[event]!r} vs {v!r}"
+                f"terminal values disagree at event {event}: {merged[event]!r} vs {v!r}"
             )
         merged.setdefault(event, v)
     default = a.default if a.default is not None else b.default
@@ -375,8 +376,8 @@ def _check_decomposition(joint: JointTable, loaded: LoadedRewards, tol: float) -
     config = SolverConfig(alpha=loaded.alpha)
     residuals: list[tuple[Assignment, float]] = []
     skipped: list[tuple[Assignment, str]] = []
-    for ctx in _sorted_contexts(joint, loaded.direction.conditioning):
-        if joint.event_mass(ctx) == 0:
+    for ctx, positive in _contexts(joint, loaded.direction):
+        if not positive:
             skipped.append((ctx, "zero conditioning mass"))
             continue
         problem = build_problem(joint, loaded.terminals, config, loaded.rewards, ctx)
@@ -450,12 +451,13 @@ def cmd_construct(args) -> int:
     joint = _load_joint(args.joint)
     _, table = interaction_from_doc(load_json(args.interaction), joint)
     direction = table.direction
+    s = _split(joint, direction)
     tol_admit = args.tol if args.tol is not None else EXTERNAL_ADMIT_TOL
     entries = []
     skipped = []
     for ctx in table.contexts():
         try:
-            prior = conditional(joint, direction.target, ctx.restrict(direction.base))
+            prior = s.prior(s.ctx_base[s.ctx_index[ctx]])
         except ZeroMassContext:
             if not args.skip_zero_mass:
                 raise
@@ -463,11 +465,10 @@ def cmd_construct(args) -> int:
             continue
         row = table.values[ctx]
         signal = []
-        for outcome, p in zip(prior.outcomes(), prior.probs):
+        for outcome, p in zip(s.outcomes, prior.probs):
             if p > 0 and outcome not in row:
                 raise CoverageMismatch(
-                    f"interaction file misses prior-supported outcome {outcome!r} "
-                    f"at context {ctx!r}"
+                    f"interaction file misses prior-supported outcome {outcome} at context {ctx}"
                 )
             signal.append(row.get(outcome, -math.inf))
         posterior, residual = _posterior_and_residual(prior, signal, tol_admit)

@@ -13,15 +13,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .dist import (
-    Assignment,
-    JointTable,
-    as_assignment,
-    conditional,
-    iter_group_assignments,
-    marginal,
-    total_variation,
-)
+from .dist import Assignment, DistVector, JointTable, as_assignment, total_variation
 from .errors import (
     CoverageMismatch,
     MissingContext,
@@ -29,7 +21,7 @@ from .errors import (
     ValidationError,
     ZeroMassContext,
 )
-from .identify import Direction, RewardTable, identify_interaction
+from .identify import Direction, RewardTable, _interactions, _split
 from .tilt import SoftUpdateProblem, SolverConfig, solve_tilt
 
 
@@ -53,10 +45,10 @@ class EventValueFunction:
         for key, value in pairs:
             event = as_assignment(key)
             if event in canonical:
-                raise ValidationError(f"event {event!r} given twice")
+                raise ValidationError(f"event {event} given twice")
             v = float(value)
             if math.isnan(v):
-                raise ValidationError(f"value at {event!r} must not be NaN")
+                raise ValidationError(f"value at {event} must not be NaN")
             canonical[event] = v
         self._entries = canonical
         self._default = None if default is None else float(default)
@@ -78,7 +70,7 @@ class EventValueFunction:
             return self._entries[key]
         if self._default is not None:
             return self._default
-        raise MissingEventValue(f"no value for event {key!r} and no default")
+        raise MissingEventValue(f"no value for event {key} and no default")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventValueFunction):
@@ -123,27 +115,28 @@ def build_problem(
     ctx = as_assignment(context)
     if set(ctx) != set(direction.conditioning):
         raise ValidationError(
-            f"context must bind exactly {sorted(direction.conditioning)!r}, got {ctx!r}"
+            f"context must bind exactly {sorted(direction.conditioning)!r}, got {ctx}"
         )
-    if joint.event_mass(ctx) == 0:
-        raise ZeroMassContext(f"conditioning event {ctx!r} has zero probability")
-    prior = conditional(joint, direction.target, ctx.restrict(direction.base))
+    s = _split(joint, direction)
+    ci = s.locate(ctx)
+    if s.m_cond[ci] == 0:
+        raise ZeroMassContext(f"conditioning event {ctx} has zero probability")
+    prior = s.prior(s.ctx_base[ci])
     row = rewards.entries.get(ctx)
     if row is None:
-        raise ValidationError(f"reward table has no entries for context {ctx!r}")
+        raise ValidationError(f"reward table has no entries for context {ctx}")
     reward_vec = []
     terminal_vec = []
-    for outcome, p in zip(prior.outcomes(), prior.probs):
+    at = s.ctx_full[ci]
+    for outcome, offset, p in zip(s.outcomes, s.out_full, prior.probs):
         if p == 0:
             reward_vec.append(0.0)  # placeholder, ignored off support
             terminal_vec.append(0.0)
             continue
         if outcome not in row:
-            raise ValidationError(
-                f"missing reward entry for outcome {outcome!r} at context {ctx!r}"
-            )
+            raise ValidationError(f"missing reward entry for outcome {outcome} at context {ctx}")
         reward_vec.append(row[outcome])
-        terminal_vec.append(float(values.value(outcome.union(ctx))))
+        terminal_vec.append(float(values.value(s.events[at + offset])))
     return SoftUpdateProblem(
         prior=prior, reward=tuple(reward_vec), terminal=tuple(terminal_vec), config=config
     )
@@ -167,36 +160,32 @@ def commutativity_residual(
         )
     triples_fwd = _triples(rewards_fwd)
     triples_swp = _triples(rewards_swp)
-    if set(triples_fwd) != set(triples_swp):
-        only_f = sorted(set(triples_fwd) - set(triples_swp), key=lambda a: a.items_sorted)
-        only_s = sorted(set(triples_swp) - set(triples_fwd), key=lambda a: a.items_sorted)
+    if triples_fwd.keys() != triples_swp.keys():
+        only_f = sorted(triples_fwd.keys() - triples_swp.keys(), key=lambda a: a.items_sorted)
+        only_s = sorted(triples_swp.keys() - triples_fwd.keys(), key=lambda a: a.items_sorted)
         example = (only_f or only_s)[0]
         raise CoverageMismatch(
             f"tables cover different triples ({len(only_f)} forward-only, "
-            f"{len(only_s)} swapped-only; e.g. {example!r})"
+            f"{len(only_s)} swapped-only; e.g. {example})"
         )
     values_fwd = {as_assignment(k): float(v) for k, v in dict(values_fwd).items()}
     values_swp = {as_assignment(k): float(v) for k, v in dict(values_swp).items()}
     residuals: dict[Assignment, float] = {}
     for triple in sorted(triples_fwd, key=lambda a: a.items_sorted):
-        ctx_f = triple.restrict(fwd.conditioning)
-        ctx_s = triple.restrict(swp.conditioning)
+        (ctx_f, out_f), (ctx_s, out_s) = triples_fwd[triple], triples_swp[triple]
         if ctx_f not in values_fwd:
-            raise MissingContext(f"forward context values miss {ctx_f!r}")
+            raise MissingContext(f"forward context values miss {ctx_f}")
         if ctx_s not in values_swp:
-            raise MissingContext(f"swapped context values miss {ctx_s!r}")
-        lhs = rewards_fwd.entries[ctx_f][triple.restrict(fwd.target)] - values_fwd[ctx_f]
-        rhs = rewards_swp.entries[ctx_s][triple.restrict(swp.target)] - values_swp[ctx_s]
+            raise MissingContext(f"swapped context values miss {ctx_s}")
+        lhs = rewards_fwd.entries[ctx_f][out_f] - values_fwd[ctx_f]
+        rhs = rewards_swp.entries[ctx_s][out_s] - values_swp[ctx_s]
         residuals[triple] = abs(lhs - rhs)
     return residuals
 
 
-def _triples(table: RewardTable) -> list[Assignment]:
-    out = []
-    for ctx, row in table.entries.items():
-        for outcome in row:
-            out.append(ctx.union(outcome))
-    return out
+def _triples(table: RewardTable) -> dict[Assignment, tuple[Assignment, Assignment]]:
+    """Each entry's full event, mapped to its (context, outcome) key."""
+    return {ctx.union(o): (ctx, o) for ctx, row in table.entries.items() for o in row}
 
 
 @dataclass
@@ -232,33 +221,35 @@ def order_independence_check(
         raise ValidationError("swapped reward table does not match the pair's direction")
     identification: dict[str, dict[Assignment, float]] = {}
     context_values: dict[str, dict[Assignment, float]] = {}
+    interactions: list[dict[int, float]] = []  # per direction, keyed by full-group cell index
     for direction, table in ((pair.forward, rewards_fwd), (pair.swapped, rewards_swp)):
+        s = _split(pair.joint, direction)
         residuals: dict[Assignment, float] = {}
         v_map: dict[Assignment, float] = {}
-        m_cond = marginal(pair.joint, direction.conditioning)
-        for ctx, _ in m_cond.support():
-            problem = build_problem(pair.joint, pair.values, pair.config, table, ctx)
-            solution = solve_tilt(problem)
-            bayes = conditional(pair.joint, direction.target, ctx)
+        for ci in s.order:
+            p_ctx = s.m_cond[ci]
+            if not p_ctx:
+                continue
+            ctx, at = s.contexts[ci], s.ctx_full[ci]
+            solution = solve_tilt(build_problem(pair.joint, pair.values, pair.config, table, ctx))
+            bayes = DistVector(s.target_specs, tuple(s.m_full[at + o] / p_ctx for o in s.out_full))
             residuals[ctx] = total_variation(solution.optimizer, bayes)
             v_map[ctx] = solution.soft_value
         identification[direction.tag] = residuals
         context_values[direction.tag] = v_map
+        interactions.append({
+            s.ctx_full[ci] + s.out_full[ti]: v
+            for ci, row in _interactions(s)
+            for ti, v in row.items()
+        })
 
-    table_fwd = identify_interaction(pair.joint, pair.forward)
-    table_swp = identify_interaction(pair.joint, pair.swapped)
+    # both directions cover the same variables, so their cell indices agree
+    events, m_full = s.events, s.m_full
+    fwd_cells, swp_cells = interactions
     symmetry: dict[Assignment, float] = {}
-    skipped: list[tuple[Assignment, str]] = []
-    for ctx in table_fwd.contexts():
-        for outcome, value in table_fwd.values[ctx].items():
-            triple = ctx.union(outcome)
-            if value == -math.inf:
-                skipped.append((triple, "zero joint mass"))
-                continue
-            ctx_s = triple.restrict(pair.swapped.conditioning)
-            out_s = triple.restrict(pair.swapped.target)
-            other = table_swp.values[ctx_s][out_s]
-            symmetry[triple] = abs(value - other)
+    for cell, value in fwd_cells.items():
+        if value > -math.inf:
+            symmetry[events[cell]] = abs(value - swp_cells[cell])
 
     commutativity = commutativity_residual(
         rewards_fwd,
@@ -267,12 +258,7 @@ def order_independence_check(
         context_values[pair.swapped.tag],
     )
 
-    grid_specs = pair.joint.group(
-        pair.forward.target + pair.forward.base + pair.forward.observed
-    )
-    for cell in iter_group_assignments(grid_specs):
-        if pair.joint.event_mass(cell) == 0 and (cell, "zero joint mass") not in skipped:
-            skipped.append((cell, "zero joint mass"))
+    skipped = [(event, "zero joint mass") for event, m in zip(events, m_full) if not m]
 
     all_residuals = [
         *(v for row in identification.values() for v in row.values()),

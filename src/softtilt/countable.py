@@ -6,8 +6,9 @@ points; a user-supplied nonincreasing bound on the *tilted* tail
 sum_{n>N} p_n exp(payoff(n)) certifies convergence when it drops below
 eps_tail times the partial sum. The outcome is three-valued: 'finite' with
 a certificate, 'diverged' when partial sums explode under nondecreasing
-terms, or 'inconclusive' when the budget runs out. All accumulation happens
-in log space, so large payoffs cannot overflow the partial sums.
+terms while the tail bound is still +inf, or 'inconclusive' when the budget
+runs out. All accumulation happens in log space, so large payoffs cannot
+overflow the partial sums.
 """
 
 from __future__ import annotations
@@ -84,7 +85,11 @@ class CountableFamily:
                 raise InvalidBounds(f"prior tail bound at N={n} is negative: {t!r}")
             if t == 0:
                 return 0.0
-            return t * math.exp(payoff_sup(n))
+            s = payoff_sup(n)
+            try:
+                return t * math.exp(s)
+            except OverflowError:  # exp(s) alone overflows; the product may not
+                return _safe_exp(math.log(t) + s)
 
         return cls(log_prior_mass=log_prior_mass, payoff=payoff, tail_bound=tail, describe=describe)
 
@@ -102,14 +107,16 @@ class CountableFamily:
             raise ValidationError("payoff slope and intercept must be finite")
         log_q = math.log(q)
         log_head = math.log1p(-q)
-        ratio = q * math.exp(slope)
-        scale = (1.0 - q) * math.exp(intercept)
+        ratio = q * _exp_or_inf(slope)
+        scale = (1.0 - q) * _exp_or_inf(intercept)
+        # the log of a product that is a positive double, else the sum of the logs
+        log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else log_q + slope
+        log_scale = math.log(scale) if 0.0 < scale < math.inf else log_head + intercept
 
         def tail(n: int) -> float:
             if ratio >= 1.0:
                 return math.inf
-            log_t = math.log(scale) + (n + 1) * math.log(ratio) - math.log1p(-ratio)
-            return _safe_exp(log_t)
+            return _bound_exp(log_scale + (n + 1) * log_ratio - math.log1p(-ratio))
 
         return cls(
             log_prior_mass=lambda n: log_head + n * log_q,
@@ -130,7 +137,7 @@ class CountableFamily:
         return cls(
             log_prior_mass=lambda n: log_head + n * log_q,
             payoff=lambda n: value,
-            tail_bound=lambda n: _safe_exp((n + 1) * log_q + value),
+            tail_bound=lambda n: _bound_exp((n + 1) * log_q + value),
             describe=f"geometric(q={q!r}) with constant payoff",
         )
 
@@ -185,6 +192,19 @@ class _TruncationRun:
     log_partial: float
     tail_bound: float
     log_terms: list[float]
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _bound_exp(x: float) -> float:
+    """exp(x) for an upper bound: never below the smallest positive double, so
+    a bound that underflows cannot certify a tail as exactly zero."""
+    return max(_safe_exp(x), math.ulp(0.0))
 
 
 def _safe_exp(x: float) -> float:
@@ -275,8 +295,10 @@ def _truncate(
                 log_terms=log_terms,
             )
         last_term = log_terms[n_stop]
+        # a finite tail bound proves Z finite, so only an unbounded tail may diverge
         if (
-            log_partial > explosion_log
+            bound == math.inf
+            and log_partial > explosion_log
             and last_term > -math.inf
             and prev_checkpoint_term is not None
             and last_term >= prev_checkpoint_term - 1e-12

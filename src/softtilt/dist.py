@@ -1,16 +1,16 @@
 """Finite joint distributions over named discrete variables.
 
-Masses are held internally as exact rationals (every IEEE double converts
-exactly), so marginalization, conditioning and probability-ratio formation
-introduce no rounding at all. Floats appear only at the query surface. Two
-invariants rely on this: marginalizing in stages equals marginalizing in one
+A `JointTable` holds one flat list of Python ints over a common denominator
+(a power of two for float input, since doubles are dyadic; the lcm for
+`Fraction` input), one per cell of the alphabet product, indexed mixed-radix
+with the last variable fastest as `iter_group_assignments` orders them.
+Marginals are integer sums and mass ratios are integer ratios, so no rounding
+occurs before a query returns a float: conditionals are correctly rounded
+`int / int` quotients, marginalizing in stages equals marginalizing in one
 step *exactly*, and the pointwise mutual information is bit-identical under
-argument exchange because both orders reduce to the same rational ratio.
-
-A `JointTable` is immutable once built: its cells, variables and `tol_norm`
-cannot change. `marginal` relies on this to memoize each marginal on the
-table it came from, keyed by the kept names, so conditioning once per
-context costs one lookup rather than a rescan of every cell.
+argument exchange because both orders form the same integer ratio. Masses
+are returned as `Fraction`. A table is immutable once built (cells,
+variables, `tol_norm`), so each marginal is memoized as a flat int list.
 """
 
 from __future__ import annotations
@@ -54,25 +54,22 @@ class VariableSpec:
             raise ValidationError(f"variable {self.name!r} has repeated labels")
 
 
-class Assignment(Mapping):
+class Assignment:
     """An immutable set of variable bindings, canonically ordered by name.
 
     Doubles as the key type for events: equality, hashing and iteration are
     insensitive to the order bindings were given in, so a lookup keyed on
-    {X=0, Y=1} and one keyed on {Y=1, X=0} hit the same entry.
+    {X=0, Y=1} and one keyed on {Y=1, X=0} hit the same entry. Iteration
+    yields the bound names; str() renders the bindings as reports do: X=0,Y=1.
     """
 
-    __slots__ = ("_items", "_map")
+    __slots__ = ("_items",)
 
     def __init__(self, bindings: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
         if isinstance(bindings, Assignment):
-            pairs = bindings._items
-        elif isinstance(bindings, Mapping):
-            pairs = tuple(bindings.items())
-        else:
-            pairs = tuple(bindings)
+            bindings = bindings._items
         seen: dict[str, str] = {}
-        for pair in pairs:
+        for pair in bindings.items() if isinstance(bindings, Mapping) else bindings:
             try:
                 name, label = pair
             except (TypeError, ValueError):
@@ -83,7 +80,13 @@ class Assignment(Mapping):
                 raise ValidationError(f"variable {name!r} bound twice")
             seen[name] = label
         self._items: tuple[tuple[str, str], ...] = tuple(sorted(seen.items()))
-        self._map: dict[str, str] = dict(self._items)
+
+    @classmethod
+    def _of(cls, items: tuple[tuple[str, str], ...]) -> "Assignment":
+        """Trusted constructor: items are valid bindings already sorted by name."""
+        a = object.__new__(cls)
+        a._items = items
+        return a
 
     @property
     def items_sorted(self) -> tuple[tuple[str, str], ...]:
@@ -91,29 +94,27 @@ class Assignment(Mapping):
         return self._items
 
     def __getitem__(self, name: str) -> str:
-        return self._map[name]
+        return dict(self._items)[name]
 
     def __iter__(self):
-        return iter(self._map)
+        return (name for name, _ in self._items)
 
     def __len__(self) -> int:
         return len(self._items)
 
     def union(self, other: "Assignment | Mapping[str, str]") -> "Assignment":
         """Combine bindings; a variable bound on both sides must agree."""
-        other = as_assignment(other)
-        merged = dict(self._map)
-        for name, label in other._items:
-            if name in merged and merged[name] != label:
+        merged = dict(self._items)
+        for name, label in as_assignment(other)._items:
+            if merged.setdefault(name, label) != label:
                 raise ValidationError(
                     f"conflicting bindings for {name!r}: {merged[name]!r} vs {label!r}"
                 )
-            merged[name] = label
-        return Assignment(merged)
+        return Assignment._of(tuple(sorted(merged.items())))
 
     def restrict(self, names: Iterable[str]) -> "Assignment":
         keep = set(names)
-        return Assignment({k: v for k, v in self._items if k in keep})
+        return Assignment._of(tuple(item for item in self._items if item[0] in keep))
 
     def __hash__(self) -> int:
         return hash(self._items)
@@ -127,6 +128,9 @@ class Assignment(Mapping):
         inner = ", ".join(f"{k}={v!r}" for k, v in self._items)
         return f"Assignment({inner})"
 
+    def __str__(self) -> str:
+        return ",".join(f"{k}={v}" for k, v in self._items) or "{}"
+
 
 def as_assignment(value: Assignment | Mapping[str, str] | Iterable[tuple[str, str]]) -> Assignment:
     if isinstance(value, Assignment):
@@ -137,85 +141,107 @@ def as_assignment(value: Assignment | Mapping[str, str] | Iterable[tuple[str, st
 def iter_group_assignments(specs: Iterable[VariableSpec]):
     """All full assignments over a variable group, last variable fastest."""
     specs = tuple(specs)
-    names = tuple(s.name for s in specs)
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"variable names must be distinct, got {names!r}")
+    order = sorted(range(len(names)), key=names.__getitem__)
     for combo in itertools.product(*(s.alphabet for s in specs)):
-        yield Assignment(zip(names, combo))
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Rational):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValidationError(f"mass must be finite, got {value!r}")
-        return Fraction(value)
-    raise ValidationError(f"mass must be a real number, got {value!r}")
+        yield Assignment._of(tuple((names[i], combo[i]) for i in order))
 
 
 class JointTable:
     """A normalized joint distribution; zero cells may be left implicit."""
 
-    def __init__(
-        self,
-        variables: Iterable[VariableSpec],
-        mass: Mapping | Iterable[tuple],
-        tol_norm: float = DEFAULT_TOL_NORM,
-    ):
-        self._variables = tuple(variables)
-        if not self._variables:
+    def __init__(self, variables: Iterable[VariableSpec], mass: Mapping | Iterable[tuple],
+                 tol_norm: float = DEFAULT_TOL_NORM):
+        specs = self._variables = tuple(variables)
+        if not specs:
             raise ValidationError("a joint table needs at least one variable")
-        for spec in self._variables:
+        for spec in specs:
             if not isinstance(spec, VariableSpec):
                 raise ValidationError(f"expected VariableSpec, got {spec!r}")
-        names = [s.name for s in self._variables]
-        if len(set(names)) != len(names):
+        self._index = {s.name: v for v, s in enumerate(specs)}
+        if len(self._index) != len(specs):
             raise ValidationError("variable names must be distinct")
-        self._by_name = {s.name: s for s in self._variables}
-        self._tol_norm = float(tol_norm)
-        # marginals of this table, keyed by kept names in table order
-        self._marginals: dict[tuple[str, ...], JointTable] = {}
-
-        pairs = mass.items() if isinstance(mass, Mapping) else mass
-        cells: dict[Assignment, Fraction] = {}
-        total = Fraction(0)
-        for key, value in pairs:
+        self._digits = tuple({label: d for d, label in enumerate(s.alphabet)} for s in specs)
+        self._sizes = tuple(len(s.alphabet) for s in specs)
+        self._all = tuple(range(len(specs)))
+        tol = self._tol_norm = float(tol_norm)
+        # objects derived from the cells, keyed by what they were derived from
+        self._derived: dict[tuple, object] = {}
+        ratios: dict[int, tuple[int, int]] = {}
+        for key, value in mass.items() if isinstance(mass, Mapping) else mass:
             cell = as_assignment(key)
-            self._validate_full(cell)
-            p = _as_fraction(value)
-            if p < 0:
-                raise ValidationError(f"negative mass {value!r} at {cell!r}")
-            if cell in cells:
-                raise ValidationError(f"duplicate assignment {cell!r}")
-            cells[cell] = p
-            total += p
-        # drop explicit zeros: zero and absent cells are the same event
-        self._mass = {c: p for c, p in cells.items() if p > 0}
-        self._total = total
-        if abs(total - 1) > Fraction(self.tol_norm):
-            raise ValidationError(
-                f"masses sum to {float(total)!r}, off 1 by more than {self.tol_norm!r}"
-            )
+            i = self._locate(cell, full=True)[1]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"mass must be finite, got {value!r}")
+            if not isinstance(value, (float, Rational)):
+                raise ValidationError(f"mass must be a real number, got {value!r}")
+            num, den = (value if isinstance(value, float) else Fraction(value)).as_integer_ratio()
+            if num < 0:
+                raise ValidationError(f"negative mass {value!r} at {cell}")
+            if i in ratios:
+                raise ValidationError(f"duplicate assignment {cell}")
+            ratios[i] = (num, den)
+        self._den = den = math.lcm(*(d for _, d in ratios.values()))
+        self._cells = [0] * math.prod(self._sizes)
+        for i, (num, d) in ratios.items():
+            self._cells[i] = num * (den // d)
+        total = sum(self._cells)
+        # marginals as flat int lists over den, keyed by kept variable indices
+        self._marginals = {self._all: self._cells, (): [total]}
+        if Fraction(abs(total - den), den) > Fraction(tol):
+            raise ValidationError(f"masses sum to {total / den!r}, off 1 by more than {tol!r}")
 
-    def _validate_full(self, cell: Assignment) -> None:
-        for spec in self._variables:
-            label = cell.get(spec.name)
-            if label is None:
-                raise ValidationError(f"assignment {cell!r} does not bind {spec.name!r}")
-            if label not in spec.alphabet:
-                raise ValidationError(
-                    f"label {label!r} is not in the alphabet of {spec.name!r}"
-                )
-        if len(cell) != len(self._variables):
-            extra = set(cell) - set(self._by_name)
-            raise ValidationError(f"assignment binds unknown variables {sorted(extra)!r}")
-
-    def _validate_event(self, event: Assignment) -> None:
+    def _locate(self, event: Assignment, full: bool = False) -> tuple[tuple[int, ...], int]:
+        """The sorted indices of the variables an event binds, and its flat
+        index in the grid over them; full=True requires every variable bound."""
+        digits = []
         for name, label in event.items_sorted:
-            spec = self._by_name.get(name)
-            if spec is None:
-                raise ValidationError(f"unknown variable {name!r}")
-            if label not in spec.alphabet:
+            v = self._index.get(name)
+            if v is None or label not in self._digits[v]:
+                self.variable(name)  # raises for an unknown variable
                 raise ValidationError(f"label {label!r} is not in the alphabet of {name!r}")
+            digits.append((v, self._digits[v][label]))
+        digits.sort()
+        i = 0
+        for v, d in digits:
+            i = i * self._sizes[v] + d
+        if full and len(digits) != len(self._all):
+            missing = next(s.name for s in self._variables if s.name not in set(event))
+            raise ValidationError(f"assignment {event} does not bind {missing!r}")
+        return tuple(v for v, _ in digits), i
+
+    def _group(self, names: Iterable[str]) -> tuple[int, ...]:
+        """Sorted variable indices of a set of names."""
+        wanted = set(names)
+        unknown = wanted - self._index.keys()
+        if unknown:
+            raise ValidationError(f"unknown variables {sorted(unknown)!r}")
+        return tuple(sorted(self._index[n] for n in wanted))
+
+    def _cells_over(self, group: tuple[int, ...]) -> list[int]:
+        """The marginal over a group of variable indices: a flat int list over den."""
+        cells = self._marginals.get(group)
+        if cells is None:
+            rest = self._offsets(self._all, tuple(v for v in self._all if v not in group))
+            full = self._cells
+            cells = [sum([full[o + r] for r in rest]) for o in self._offsets(self._all, group)]
+            self._marginals[group] = cells
+        return cells
+
+    def _offsets(self, group: tuple[int, ...], sub: tuple[int, ...]) -> list[int]:
+        """For each index of the grid over sub, a subset of group, its offset in
+        the grid over group. Offsets of complementary subsets add up."""
+        offsets = [0]
+        for v in sub:
+            stride = math.prod(self._sizes[w] for w in group if w > v)
+            offsets = [o + d * stride for o in offsets for d in range(self._sizes[v])]
+        return offsets
+
+    def _mass(self, event: Assignment) -> int:
+        group, i = self._locate(event)
+        return self._cells_over(group)[i]
 
     @property
     def tol_norm(self) -> float:
@@ -230,56 +256,44 @@ class JointTable:
         return tuple(s.name for s in self._variables)
 
     def variable(self, name: str) -> VariableSpec:
-        spec = self._by_name.get(name)
-        if spec is None:
+        v = self._index.get(name)
+        if v is None:
             raise ValidationError(f"unknown variable {name!r}")
-        return spec
+        return self._variables[v]
 
     def group(self, names: Iterable[str]) -> tuple[VariableSpec, ...]:
         """Specs for a set of names, ordered as in this table."""
-        wanted = set(names)
-        unknown = wanted - set(self._by_name)
-        if unknown:
-            raise ValidationError(f"unknown variables {sorted(unknown)!r}")
-        return tuple(s for s in self._variables if s.name in wanted)
+        return tuple(self._variables[v] for v in self._group(names))
 
     def total(self) -> Fraction:
-        return self._total
+        return Fraction(self._marginals[()][0], self._den)
 
     def mass_of(self, assignment) -> Fraction:
-        cell = as_assignment(assignment)
-        self._validate_full(cell)
-        return self._mass.get(cell, Fraction(0))
-
-    def _mass_full(self, cell: Assignment) -> Fraction:
-        # internal: caller guarantees the key is a full canonical assignment
-        return self._mass.get(cell, Fraction(0))
+        return Fraction(self._cells[self._locate(as_assignment(assignment), True)[1]], self._den)
 
     def event_mass(self, event) -> Fraction:
         """Exact probability of a partial assignment, read off its marginal."""
-        ev = as_assignment(event)
-        self._validate_event(ev)
-        if not ev:
-            return self._total
-        table = self if len(ev) == len(self._variables) else marginal(self, ev)
-        return table._mass.get(ev, Fraction(0))
+        return Fraction(self._mass(as_assignment(event)), self._den)
 
     def prob(self, event) -> float:
         return float(self.event_mass(event))
 
     def support(self) -> list[tuple[Assignment, Fraction]]:
-        return sorted(self._mass.items(), key=lambda item: item[0].items_sorted)
+        cells = zip(iter_group_assignments(self._variables), self._cells)
+        out = [(cell, Fraction(c, self._den)) for cell, c in cells if c]
+        return sorted(out, key=lambda item: item[0].items_sorted)
 
     def masses(self) -> dict[Assignment, Fraction]:
-        return dict(self._mass)
+        return dict(self.support())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, JointTable):
-            return self._variables == other._variables and self._mass == other._mass
+            return self._variables == other._variables and self.masses() == other.masses()
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"JointTable(variables={self.names!r}, cells={len(self._mass)})"
+        cells = sum(1 for c in self._cells if c)
+        return f"JointTable(variables={self.names!r}, cells={cells})"
 
 
 @dataclass(frozen=True)
@@ -299,15 +313,12 @@ class DistVector:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if not self.over:
             raise ValidationError("a distribution vector needs at least one variable")
-        expected = 1
         for spec in self.over:
             if not isinstance(spec, VariableSpec):
                 raise ValidationError(f"expected VariableSpec, got {spec!r}")
-            expected *= len(spec.alphabet)
+        expected = math.prod(len(spec.alphabet) for spec in self.over)
         if len(self.probs) != expected:
-            raise ValidationError(
-                f"expected {expected} probabilities, got {len(self.probs)}"
-            )
+            raise ValidationError(f"expected {expected} probabilities, got {len(self.probs)}")
         for p in self.probs:
             if not math.isfinite(p) or p < 0:
                 raise ValidationError(f"probabilities must be finite and >= 0, got {p!r}")
@@ -328,7 +339,7 @@ class DistVector:
         for i, outcome in enumerate(iter_group_assignments(self.over)):
             if outcome == target:
                 return i
-        raise ValidationError(f"{target!r} is not an outcome of this vector")
+        raise ValidationError(f"{target} is not an outcome of this vector")
 
 
 def marginal(joint: JointTable, keep: Iterable[str]) -> JointTable:
@@ -336,16 +347,14 @@ def marginal(joint: JointTable, keep: Iterable[str]) -> JointTable:
 
     Built once per table and subset; later calls return the same object.
     """
-    kept = joint.group(keep)
-    kept_names = tuple(s.name for s in kept)
-    cached = joint._marginals.get(kept_names)
-    if cached is None:
-        out: dict[Assignment, Fraction] = {}
-        for cell, p in joint._mass.items():
-            key = cell.restrict(kept_names)
-            out[key] = out.get(key, Fraction(0)) + p
-        cached = joint._marginals[kept_names] = JointTable(kept, out, tol_norm=joint.tol_norm)
-    return cached
+    group = joint._group(keep)
+    table = joint._derived.get(("marginal", group))
+    if table is None:
+        specs = tuple(joint.variables[v] for v in group)
+        masses = (Fraction(c, joint._den) for c in joint._cells_over(group))
+        mass = zip(iter_group_assignments(specs), masses)
+        table = joint._derived[("marginal", group)] = JointTable(specs, mass, joint.tol_norm)
+    return table
 
 
 def conditional(joint: JointTable, target: Iterable[str], context) -> DistVector:
@@ -354,65 +363,56 @@ def conditional(joint: JointTable, target: Iterable[str], context) -> DistVector
     Raises ZeroMassContext when the conditioning event has zero probability.
     """
     specs = joint.group(target)
-    target_names = {s.name for s in specs}
     ctx = as_assignment(context)
-    joint._validate_event(ctx)
-    overlap = target_names & set(ctx)
+    ctx_mass = joint._mass(ctx)
+    overlap = {s.name for s in specs} & set(ctx)
     if overlap:
         raise ValidationError(f"target and context overlap on {sorted(overlap)!r}")
-    reduced = marginal(joint, target_names | set(ctx)) if (
-        len(target_names) + len(ctx) < len(joint.variables)
-    ) else joint
-    ctx_mass = reduced.event_mass(ctx)
     if ctx_mass == 0:
-        raise ZeroMassContext(f"conditioning event {ctx!r} has zero probability")
-    probs = []
-    for outcome in iter_group_assignments(specs):
-        probs.append(float(reduced._mass_full(outcome.union(ctx)) / ctx_mass))
-    return DistVector(specs, tuple(probs))
+        raise ZeroMassContext(f"conditioning event {ctx} has zero probability")
+    outcomes = iter_group_assignments(specs)
+    return DistVector(specs, tuple(joint._mass(o.union(ctx)) / ctx_mass for o in outcomes))
 
 
 def pmi(joint: JointTable, x, z, y) -> float:
     """Conditional pointwise mutual information between events x and z given y.
 
-    Evaluated as log of the exact rational P(x,y,z)P(y) / (P(y,z)P(x,y)), so
-    the result is bit-identical under exchange of x and z. Returns -inf when
-    the posterior cell is empty while the prior conditional is positive.
+    Evaluated as log of the exact ratio P(x,y,z)P(y) / (P(y,z)P(x,y)), so the
+    result is bit-identical under exchange of x and z. Returns -inf when the
+    posterior cell is empty while the prior conditional is positive.
     """
     ex, ez, ey = as_assignment(x), as_assignment(z), as_assignment(y)
     for a, b, what in ((ex, ez, "x/z"), (ex, ey, "x/y"), (ez, ey, "z/y")):
         shared = set(a) & set(b)
         if shared:
             raise ValidationError(f"{what} events overlap on {sorted(shared)!r}")
-    p_y = joint.event_mass(ey)
+    p_y = joint._mass(ey)
     if p_y == 0:
-        raise ZeroMassContext(f"P(y)=0 for y={ey!r}")
-    p_yz = joint.event_mass(ey.union(ez))
+        raise ZeroMassContext(f"P(y)=0 for y={ey}")
+    p_yz = joint._mass(ey.union(ez))
     if p_yz == 0:
-        raise ZeroMassContext(f"P(y,z)=0 for y={ey!r}, z={ez!r}")
-    p_xy = joint.event_mass(ex.union(ey))
+        raise ZeroMassContext(f"P(y,z)=0 for y={ey}, z={ez}")
+    p_xy = joint._mass(ex.union(ey))
     if p_xy == 0:
-        raise UndefinedPMI(f"P(x|y)=0 for x={ex!r}, y={ey!r}")
-    p_xyz = joint.event_mass(ex.union(ey).union(ez))
+        raise UndefinedPMI(f"P(x|y)=0 for x={ex}, y={ey}")
+    p_xyz = joint._mass(ex.union(ey).union(ez))
     if p_xyz == 0:
         return -math.inf
-    return log_rational((p_xyz * p_y) / (p_yz * p_xy))
+    return log_rational(p_xyz * p_y, p_yz * p_xy)
 
 
-def log_rational(r: Fraction) -> float:
-    """Natural log of an exact positive rational, at any magnitude.
-
-    A ratio that a double holds as a normal number takes the log of that
-    double; one outside that range (which float() would overflow or flush
-    toward zero) takes the difference of the integer logs.
-    """
+def log_rational(num: int, den: int) -> float:
+    """Natural log of the exact positive ratio num / den, at any magnitude: the
+    log of the correctly rounded quotient when that is a normal double, else
+    the difference of the logs of the ratio in lowest terms."""
     try:
-        x = float(r)
+        x = num / den
     except OverflowError:
         x = math.inf
     if _MIN_NORMAL <= x < math.inf:
         return math.log(x)
-    return math.log(r.numerator) - math.log(r.denominator)
+    g = math.gcd(num, den)
+    return math.log(num // g) - math.log(den // g)
 
 
 def total_variation(a: DistVector, b: DistVector) -> float:

@@ -21,10 +21,8 @@ from .dist import (
     DistVector,
     JointTable,
     as_assignment,
-    conditional,
     iter_group_assignments,
     log_rational,
-    marginal,
 )
 from .errors import (
     CoverageMismatch,
@@ -32,6 +30,7 @@ from .errors import (
     InfiniteInteraction,
     MissingContext,
     ValidationError,
+    ZeroMassContext,
 )
 from .tilt import logsumexp
 
@@ -88,6 +87,98 @@ def default_direction(joint: JointTable) -> Direction:
     return Direction(target=(names[0],), base=names[1:-1], observed=(names[-1],))
 
 
+class _Split:
+    """A direction's variable groups on one joint, as sorted variable indices.
+
+    Holds the marginals over the full, conditioning, base and prior (base +
+    target) groups as flat int lists, the offsets that join outcome and
+    context indices into cell indices, and the `Assignment`s that callers
+    receive. Built once per joint and direction by `_split`.
+    """
+
+    def __init__(self, joint: JointTable, direction: Direction):
+        target, base = joint._group(direction.target), joint._group(direction.base)
+        cond = joint._group(direction.conditioning)
+        full, prior = tuple(sorted(target + cond)), tuple(sorted(target + base))
+        self.m_full, self.m_cond = joint._cells_over(full), joint._cells_over(cond)
+        self.m_base, self.m_prior = joint._cells_over(base), joint._cells_over(prior)
+        self.out_full, self.ctx_full = joint._offsets(full, target), joint._offsets(full, cond)
+        self.out_prior, self.base_prior = joint._offsets(prior, target), joint._offsets(prior, base)
+        observed = tuple(v for v in cond if v not in base)
+        self.ctx_base = [0] * len(self.m_cond)  # base index of each context index
+        for bi, at in enumerate(joint._offsets(cond, base)):
+            for o in joint._offsets(cond, observed):
+                self.ctx_base[at + o] = bi
+        self.target, self.cond = target, cond
+        self.target_specs = tuple(joint.variables[v] for v in target)
+        self.outcomes, self.outcome_order, _ = _grid(joint, target)
+        self.contexts, self.order, self.ctx_index = _grid(joint, cond)
+        self.events = _grid(joint, full)[0]
+        self.bases = _grid(joint, base)[0]
+        self.conditioning = direction.conditioning
+        self._priors: dict[int, DistVector] = {}
+
+    def locate(self, ctx: Assignment) -> int:
+        """Index of a context over exactly the conditioning group."""
+        ci = self.ctx_index.get(ctx)
+        if ci is None:
+            raise ValidationError(
+                f"context must bind exactly {sorted(self.conditioning)!r} with labels "
+                f"of their alphabets, got {ctx}"
+            )
+        return ci
+
+    def prior(self, bi: int) -> DistVector:
+        """P(target | base) at base index bi, as `conditional` gives it."""
+        vec = self._priors.get(bi)
+        if vec is None:
+            p_base, at = self.m_base[bi], self.base_prior[bi]
+            if p_base == 0:
+                raise ZeroMassContext(f"conditioning event {self.bases[bi]} has zero probability")
+            probs = tuple(self.m_prior[at + o] / p_base for o in self.out_prior)
+            vec = self._priors[bi] = DistVector(self.target_specs, probs)
+        return vec
+
+
+def _grid(joint: JointTable, group: tuple[int, ...]):
+    """The assignments over a group of variable indices in cell order, their
+    indices sorted by `items_sorted`, and the index of each assignment."""
+    key = ("grid", group)
+    grid = joint._derived.get(key)
+    if grid is None:
+        cells = tuple(iter_group_assignments(joint.variables[v] for v in group))
+        order = sorted(range(len(cells)), key=lambda i: cells[i].items_sorted)
+        grid = joint._derived[key] = (cells, order, {a: i for i, a in enumerate(cells)})
+    return grid
+
+
+def _split(joint: JointTable, direction: Direction) -> _Split:
+    key = ("split", direction)
+    split = joint._derived.get(key)
+    if split is None:
+        split = joint._derived[key] = _Split(joint, direction)
+    return split
+
+
+def _interactions(s: _Split):
+    """(context index, {outcome index: value}) per positive-mass context, in
+    canonical context order; outcomes with zero prior conditional are absent."""
+    for ci in s.order:
+        p_ctx = s.m_cond[ci]
+        if not p_ctx:
+            continue
+        bi = s.ctx_base[ci]
+        p_base, base_at, ctx_at = s.m_base[bi], s.base_prior[bi], s.ctx_full[ci]
+        row: dict[int, float] = {}
+        for ti, (o_prior, o_full) in enumerate(zip(s.out_prior, s.out_full)):
+            p_prior = s.m_prior[base_at + o_prior]
+            if not p_prior:
+                continue  # prior conditional is zero: cell undefined, not -inf
+            p_cell = s.m_full[ctx_at + o_full]
+            row[ti] = log_rational(p_cell * p_base, p_ctx * p_prior) if p_cell else -math.inf
+        yield ci, row
+
+
 @dataclass
 class InteractionTable:
     """Per-context interaction values i(outcome; observed | base).
@@ -138,7 +229,7 @@ class GaugeShift:
         self.entries = {as_assignment(k): float(v) for k, v in dict(self.entries).items()}
         for ctx, v in self.entries.items():
             if not math.isfinite(v):
-                raise ValidationError(f"gauge shift at {ctx!r} must be finite, got {v!r}")
+                raise ValidationError(f"gauge shift at {ctx} must be finite, got {v!r}")
         if self.default is not None:
             self.default = float(self.default)
             if not math.isfinite(self.default):
@@ -154,7 +245,7 @@ class GaugeShift:
             return self.entries[ctx]
         if self.default is not None:
             return self.default
-        raise MissingContext(f"gauge shift is undefined at context {ctx!r}")
+        raise MissingContext(f"gauge shift is undefined at context {ctx}")
 
 
 @dataclass
@@ -175,35 +266,12 @@ def identify_interaction(joint: JointTable, direction: Direction) -> Interaction
     The table is alpha-free: the scale factor cancels out of the identified
     ratio.
     """
-    reduced = _reduced(joint, direction)
-    m_cond = marginal(reduced, direction.conditioning)
-    m_base = marginal(reduced, direction.base) if direction.base else None
-    m_prior = marginal(reduced, direction.base + direction.target)
-    target_specs = reduced.group(direction.target)
-    values: dict[Assignment, dict[Assignment, float]] = {}
-    for ctx, p_ctx in m_cond.support():
-        ctx_base = ctx.restrict(direction.base)
-        p_base = m_base._mass_full(ctx_base) if m_base is not None else reduced.total()
-        row: dict[Assignment, float] = {}
-        for outcome in iter_group_assignments(target_specs):
-            p_prior = m_prior._mass_full(outcome.union(ctx_base))
-            if p_prior == 0:
-                continue  # prior conditional is zero: cell undefined, not -inf
-            p_cell = reduced._mass_full(outcome.union(ctx))
-            if p_cell == 0:
-                row[outcome] = -math.inf
-            else:
-                row[outcome] = log_rational((p_cell * p_base) / (p_ctx * p_prior))
-        values[ctx] = row
+    s = _split(joint, direction)
+    values = {
+        s.contexts[ci]: {s.outcomes[ti]: v for ti, v in row.items()}
+        for ci, row in _interactions(s)
+    }
     return InteractionTable(direction=direction, values=values)
-
-
-def _reduced(joint: JointTable, direction: Direction) -> JointTable:
-    names = direction.target + direction.base + direction.observed
-    joint.group(names)  # validates the names exist
-    if set(names) == set(joint.names):
-        return joint
-    return marginal(joint, names)
 
 
 def calibrate_rewards(
@@ -226,29 +294,36 @@ def calibrate_rewards(
     if not math.isfinite(alpha) or alpha <= 0:
         raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
     table = identify_interaction(joint, direction)
+    s = _split(joint, direction)
     entries: dict[Assignment, dict[Assignment, float]] = {}
     context_values: dict[Assignment, float] = {}
     excluded: list[tuple[Assignment, Assignment]] = []
-    for ctx in table.contexts():
+    for ci in s.order:
+        ctx = s.contexts[ci]
+        values = table.values.get(ctx)
+        if values is None:
+            continue  # zero-mass context
         shift = baseline.value(ctx) if baseline is not None else 0.0
         if not math.isfinite(shift):
-            raise ValidationError(f"baseline at {ctx!r} must be finite, got {shift!r}")
+            raise ValidationError(f"baseline at {ctx} must be finite, got {shift!r}")
         context_values[ctx] = shift
         row: dict[Assignment, float] = {}
-        for outcome in table.outcomes_for(ctx):
-            value = table.values[ctx][outcome]
+        for ti in s.outcome_order:
+            outcome = s.outcomes[ti]
+            value = values.get(outcome)
+            if value is None:
+                continue  # zero prior conditional
             if value == -math.inf:
                 if on_infinite == "error":
                     raise InfiniteInteraction(
-                        f"posterior-null cell at context {ctx!r}, outcome {outcome!r}"
+                        f"posterior-null cell at context {ctx}, outcome {outcome}"
                     )
                 excluded.append((ctx, outcome))
                 continue
-            v_term = float(terminal.value(outcome.union(ctx)))
+            event = s.events[s.ctx_full[ci] + s.out_full[ti]]
+            v_term = float(terminal.value(event))
             if not math.isfinite(v_term):
-                raise ValidationError(
-                    f"terminal value at {outcome.union(ctx)!r} must be finite, got {v_term!r}"
-                )
+                raise ValidationError(f"terminal value at {event} must be finite, got {v_term!r}")
             row[outcome] = value / alpha - v_term + shift
         entries[ctx] = row
     convention = "zero context baseline" if baseline is None else "supplied context baseline"
@@ -313,22 +388,25 @@ def gauge_equivalent(
         )
     if set(rewards_a.entries) != set(rewards_b.entries):
         raise CoverageMismatch("reward tables cover different context sets")
-    direction = rewards_a.direction
+    s = _split(joint, rewards_a.direction)
     residuals: dict[tuple[Assignment, Assignment], float] = {}
     shifts: dict[Assignment, float] = {}
     max_residual = 0.0
     witness: tuple[Assignment, Assignment] | None = None
     for ctx in rewards_a.contexts():
-        required = _supported_outcomes(joint, direction, ctx)
+        # outcomes with positive posterior mass: the behaviorally live cells
+        at = s.ctx_full[s.locate(ctx)]
+        required = [
+            (outcome, s.events[at + o])
+            for outcome, o in zip(s.outcomes, s.out_full)
+            if s.m_full[at + o]
+        ]
         for side, table in (("a", rewards_a), ("b", rewards_b)):
-            missing = [o for o in required if o not in table.entries[ctx]]
+            missing = [o for o, _ in required if o not in table.entries[ctx]]
             if missing:
-                raise CoverageMismatch(
-                    f"table {side} misses outcome {missing[0]!r} at context {ctx!r}"
-                )
+                raise CoverageMismatch(f"table {side} misses outcome {missing[0]} at context {ctx}")
         diffs: dict[Assignment, float] = {}
-        for outcome in required:
-            event = outcome.union(ctx)
+        for outcome, event in required:
             g_a = rewards_a.entries[ctx][outcome] + float(values_a.value(event))
             g_b = rewards_b.entries[ctx][outcome] + float(values_b.value(event))
             diffs[outcome] = g_b - g_a
@@ -351,16 +429,6 @@ def gauge_equivalent(
         shifts=shifts if equivalent else None,
         residuals=residuals,
     )
-
-
-def _supported_outcomes(joint: JointTable, direction: Direction, ctx: Assignment) -> list[Assignment]:
-    """Outcomes with positive posterior mass at ctx (the behaviorally live cells)."""
-    reduced = _reduced(joint, direction)
-    out = []
-    for outcome in iter_group_assignments(reduced.group(direction.target)):
-        if reduced.event_mass(outcome.union(ctx)) > 0:
-            out.append(outcome)
-    return out
 
 
 def _log_normalizer(prior: DistVector, signal: Sequence[float]) -> tuple[list[float], float]:
@@ -387,17 +455,16 @@ def _log_normalizer(prior: DistVector, signal: Sequence[float]) -> tuple[list[fl
 
 def check_admissibility(table: InteractionTable, joint: JointTable) -> dict[Assignment, float]:
     """Per-context |log sum_x P(x|base) exp(i(x))|; zero for any true interaction."""
-    direction = table.direction
+    s = _split(joint, table.direction)
     residuals: dict[Assignment, float] = {}
     for ctx in table.contexts():
-        prior = conditional(joint, direction.target, ctx.restrict(direction.base))
+        prior = s.prior(s.ctx_base[s.locate(ctx)])
         row = table.values[ctx]
         signal = []
-        for outcome, p in zip(prior.outcomes(), prior.probs):
+        for outcome, p in zip(s.outcomes, prior.probs):
             if p > 0 and outcome not in row:
                 raise ValidationError(
-                    f"interaction table misses prior-supported outcome {outcome!r} "
-                    f"at context {ctx!r}"
+                    f"interaction table misses prior-supported outcome {outcome} at context {ctx}"
                 )
             signal.append(row.get(outcome, -math.inf))
         residuals[ctx] = abs(_log_normalizer(prior, signal)[1])

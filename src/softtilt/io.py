@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .coherence import EventValueFunction
 from .countable import CountableFamily
-from .dist import Assignment, JointTable, VariableSpec, conditional
+from .dist import Assignment, JointTable, VariableSpec
 from .errors import CoverageMismatch, SchemaError, SoftTiltError, ValidationError
-from .identify import Direction, GaugeShift, InteractionTable, RewardTable
+from .identify import Direction, GaugeShift, InteractionTable, RewardTable, _split
 
 JOINT_SUM_TOL = 1e-9
 
@@ -40,35 +40,39 @@ def load_json(path: str | Path):
         ) from exc
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message) -> None:
+    # message may be a callable, so that a per-entry message is built only on failure
     if not condition:
-        raise SchemaError(message)
+        raise SchemaError(message if isinstance(message, str) else message())
 
 
-def _number(value, message: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), message)
-    out = float(value)
+def _number(value, message) -> float:
+    out = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:  # an integer literal beyond the double range
+            out = math.inf
     _require(math.isfinite(out), message)
     return out
 
 
-def _binding(obj, what: str) -> Assignment:
+def _binding(obj, what: str) -> dict[str, str]:
     _require(isinstance(obj, dict) and obj, f"{what} must be a nonempty object")
-    for k, v in obj.items():
-        _require(isinstance(k, str) and isinstance(v, str), f"{what} must map strings to strings")
-    return Assignment(obj)
+    _require(
+        all(isinstance(k, str) and isinstance(v, str) for k, v in obj.items()),
+        f"{what} must map strings to strings",
+    )
+    return obj
 
 
-def _check_binding(joint: JointTable, binding: Assignment, what: str) -> None:
-    for name, label in binding.items_sorted:
-        try:
-            spec = joint.variable(name)
-        except ValidationError as exc:
-            raise SchemaError(f"{what}: {exc}") from exc
-        _require(
-            label in spec.alphabet,
-            f"{what}: label {label!r} is not in the alphabet of {name!r}",
-        )
+def _locate(joint: JointTable, binding: dict[str, str], what: str) -> tuple[tuple[int, ...], int]:
+    """The joint's variable indices and cell index for a binding checked to map
+    strings to strings; an unknown variable or label is a SchemaError."""
+    try:
+        return joint._locate(Assignment._of(tuple(sorted(binding.items()))))
+    except ValidationError as exc:
+        raise SchemaError(f"{what}: {exc}") from None
 
 
 def joint_from_doc(doc) -> JointTable:
@@ -95,7 +99,8 @@ def joint_from_doc(doc) -> JointTable:
     for item in mass_docs:
         _require(isinstance(item, dict), "each mass entry must be an object")
         assign = _binding(item.get("assign"), "'assign'")
-        pairs.append((assign, _number(item.get("p"), f"'p' at {assign!r} must be a finite number")))
+        p = _number(item.get("p"), lambda: f"'p' at {Assignment(assign)} must be a finite number")
+        pairs.append((assign, p))
     # JointTable checks labels, negative masses, duplicates and the total
     try:
         return JointTable(specs, pairs, tol_norm=JOINT_SUM_TOL)
@@ -226,28 +231,30 @@ class LoadedRewards:
 
 
 def _entries(doc: dict, joint: JointTable, direction: Direction):
-    """Yield (context, outcome, entry) for each entry of a reward or interaction
-    document, its bindings checked against the joint and the direction."""
+    """Yield (context index, outcome index, entry) for each entry of a reward or
+    interaction document, its bindings checked against the joint and the
+    direction; the indices are those of the direction's `_split`."""
+    s = _split(joint, direction)
     entry_docs = doc.get("entries")
     _require(isinstance(entry_docs, list), "'entries' must be an array")
-    seen: set[tuple[Assignment, Assignment]] = set()
+    seen: set[tuple[int, int]] = set()
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
         ctx = _binding(item.get("context"), "'context'")
         outcome = _binding(item.get("outcome"), "'outcome'")
-        _check_binding(joint, ctx, "'context'")
-        _check_binding(joint, outcome, "'outcome'")
-        _require(
-            set(ctx) == set(direction.conditioning),
-            f"'context' must bind exactly {sorted(direction.conditioning)!r}, got {ctx!r}",
-        )
-        _require(
-            set(outcome) == set(direction.target),
-            f"'outcome' must bind exactly {sorted(direction.target)!r}, got {outcome!r}",
-        )
-        _require((ctx, outcome) not in seen, f"duplicate entry at {ctx!r}/{outcome!r}")
-        seen.add((ctx, outcome))
-        yield ctx, outcome, item
+        c_group, ci = _locate(joint, ctx, "'context'")
+        o_group, ti = _locate(joint, outcome, "'outcome'")
+        _require(c_group == s.cond, lambda: (
+            f"'context' must bind exactly {sorted(direction.conditioning)!r}, got {Assignment(ctx)}"
+        ))
+        _require(o_group == s.target, lambda: (
+            f"'outcome' must bind exactly {sorted(direction.target)!r}, got {Assignment(outcome)}"
+        ))
+        _require((ci, ti) not in seen, lambda: (
+            f"duplicate entry at {Assignment(ctx)}/{Assignment(outcome)}"
+        ))
+        seen.add((ci, ti))
+        yield ci, ti, item
 
 
 def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRewards:
@@ -255,14 +262,16 @@ def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRe
     alpha = _number(doc.get("alpha"), "'alpha' must be a finite number")
     _require(alpha > 0, f"'alpha' must be > 0, got {alpha!r}")
     direction = direction_from_doc(doc, joint)
+    s = _split(joint, direction)
     entries: dict[Assignment, dict[Assignment, float]] = {}
     events: dict[Assignment, float] = {}
-    for ctx, outcome, item in _entries(doc, joint, direction):
-        r = _number(item.get("r"), f"'r' at {ctx!r}/{outcome!r} must be a finite number")
-        v = _number(item.get("V"), f"'V' at {ctx!r}/{outcome!r} must be a finite number")
+    for ci, ti, item in _entries(doc, joint, direction):
+        ctx, outcome = s.contexts[ci], s.outcomes[ti]
+        r = _number(item.get("r"), lambda: f"'r' at {ctx}/{outcome} must be a finite number")
+        v = _number(item.get("V"), lambda: f"'V' at {ctx}/{outcome} must be a finite number")
         entries.setdefault(ctx, {})[outcome] = r
-        events[outcome.union(ctx)] = v
-    _fill_or_check_coverage(joint, direction, entries, events, fill_zero)
+        events[s.events[s.ctx_full[ci] + s.out_full[ti]]] = v
+    _fill_or_check_coverage(s, entries, events, fill_zero)
     rewards = RewardTable(direction=direction, entries=entries, convention="external")
     return LoadedRewards(
         alpha=alpha,
@@ -272,22 +281,23 @@ def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRe
     )
 
 
-def _fill_or_check_coverage(joint, direction, entries, events, fill_zero: bool) -> None:
+def _fill_or_check_coverage(s, entries, events, fill_zero: bool) -> None:
     """Every prior-supported outcome in a positive-mass context needs an entry."""
     for ctx, row in entries.items():
-        if joint.event_mass(ctx) == 0:
+        ci = s.ctx_index[ctx]
+        if s.m_cond[ci] == 0:
             continue  # handled at command level (skip or ZeroMassContext)
-        prior = conditional(joint, direction.target, ctx.restrict(direction.base))
-        for outcome, p in zip(prior.outcomes(), prior.probs):
+        at = s.ctx_full[ci]
+        for outcome, offset, p in zip(s.outcomes, s.out_full, s.prior(s.ctx_base[ci]).probs):
             if p == 0 or outcome in row:
                 continue
             if not fill_zero:
                 raise CoverageMismatch(
-                    f"missing entry for outcome {outcome!r} at context {ctx!r} "
+                    f"missing entry for outcome {outcome} at context {ctx} "
                     "(pass --fill-zero to default missing entries to 0)"
                 )
             row[outcome] = 0.0
-            events.setdefault(outcome.union(ctx), 0.0)
+            events.setdefault(s.events[at + offset], 0.0)
 
 
 def reward_to_doc(
@@ -319,13 +329,15 @@ def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, Interact
         alpha = _number(alpha, "'alpha' must be a finite number")
         _require(alpha > 0, f"'alpha' must be > 0, got {alpha!r}")
     direction = direction_from_doc(doc, joint)
+    s = _split(joint, direction)
     values: dict[Assignment, dict[Assignment, float]] = {}
-    for ctx, outcome, item in _entries(doc, joint, direction):
+    for ci, ti, item in _entries(doc, joint, direction):
+        ctx, outcome = s.contexts[ci], s.outcomes[ti]
         raw = item.get("i")
         if raw == "-inf":
             value = -math.inf
         else:
-            value = _number(raw, f"'i' at {ctx!r}/{outcome!r} must be a number or \"-inf\"")
+            value = _number(raw, lambda: f"'i' at {ctx}/{outcome} must be a number or \"-inf\"")
         values.setdefault(ctx, {})[outcome] = value
     return alpha, InteractionTable(direction=direction, values=values)
 
@@ -359,12 +371,13 @@ def values_from_doc(doc, joint: JointTable | None = None) -> EventValueFunction:
     seen: set[Assignment] = set()
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
-        event = _binding(item.get("event"), "'event'")
+        binding = _binding(item.get("event"), "'event'")
         if joint is not None:
-            _check_binding(joint, event, "'event'")
-        _require(event not in seen, f"duplicate event {event!r}")
+            _locate(joint, binding, "'event'")
+        event = Assignment(binding)
+        _require(event not in seen, f"duplicate event {event}")
         seen.add(event)
-        v = _number(item.get("v"), f"'v' at {event!r} must be a finite number")
+        v = _number(item.get("v"), f"'v' at {event} must be a finite number")
         pairs.append((event, v))
     default = doc.get("default")
     if default is not None:
@@ -391,11 +404,12 @@ def baseline_from_doc(doc, joint: JointTable | None = None) -> GaugeShift:
     entries: dict[Assignment, float] = {}
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
-        ctx = _binding(item.get("context"), "'context'")
+        binding = _binding(item.get("context"), "'context'")
         if joint is not None:
-            _check_binding(joint, ctx, "'context'")
-        _require(ctx not in entries, f"duplicate context {ctx!r}")
-        entries[ctx] = _number(item.get("c"), f"'c' at {ctx!r} must be a finite number")
+            _locate(joint, binding, "'context'")
+        ctx = Assignment(binding)
+        _require(ctx not in entries, f"duplicate context {ctx}")
+        entries[ctx] = _number(item.get("c"), f"'c' at {ctx} must be a finite number")
     default = doc.get("default")
     if default is not None:
         default = _number(default, "'default' must be a finite number")
@@ -446,12 +460,27 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# what json.dumps does with a str under its defaults (ensure_ascii)
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dumps_report(doc) -> str:
     """Deterministic JSON: sorted keys, 17 significant digits, 2-space indent."""
     return _render(doc, 0)
 
 
 def _render(obj, depth: int) -> str:
+    # scalars first: they are most of a report, and miss the Mapping check slowly
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
     pad = "  " * depth
     inner = "  " * (depth + 1)
     if isinstance(obj, Mapping):
@@ -461,21 +490,11 @@ def _render(obj, depth: int) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise SoftTiltError(f"report keys must be strings, got {key!r}")
-            parts.append(f"{inner}{json.dumps(key)}: {_render(obj[key], depth + 1)}")
+            parts.append(f"{inner}{_quote(key)}: {_render(obj[key], depth + 1)}")
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         parts = [f"{inner}{_render(item, depth + 1)}" for item in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
     raise SoftTiltError(f"cannot serialize {type(obj).__name__} into a report")

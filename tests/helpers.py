@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 from softtilt import (
@@ -199,7 +200,15 @@ def ref_pmi(joint: JointTable, x, z, y) -> float:
     p_xyz = ref_event_mass(joint, ex.union(ey).union(ez))
     if p_xyz == 0:
         return -math.inf
-    return math.log(float((p_xyz * p_y) / (p_yz * p_xy)))
+    ratio = (p_xyz * p_y) / (p_yz * p_xy)
+    try:
+        x = float(ratio)
+    except OverflowError:
+        x = math.inf
+    if sys.float_info.min <= x < math.inf:
+        return math.log(x)
+    # beyond the normal range: the logs of the lowest-terms numerator and denominator
+    return math.log(ratio.numerator) - math.log(ratio.denominator)
 
 
 # Plain per-term reference for the countable kernel: the term-by-term scan
@@ -253,7 +262,8 @@ def ref_truncate(family, eps_tail, start, max_doublings, explosion_log) -> _Trun
         ):
             status = CertificateStatus.FINITE
         elif (
-            log_partial > explosion_log
+            bound == math.inf
+            and log_partial > explosion_log
             and log_terms[n_stop] > -math.inf
             and prev_term is not None
             and log_terms[n_stop] >= prev_term - 1e-12

@@ -117,6 +117,18 @@ class TestSolve:
         assert code == 2
         assert "line 1" in err
 
+    def test_integer_beyond_double_range_exits_2(self, capsys, tmp_path):
+        # a JSON integer literal that float() cannot hold is a schema error,
+        # not an OverflowError traceback
+        huge = "1" + "0" * 400
+        text = json.dumps(joint_to_doc(joint_f3())).replace('"p": 0.2', f'"p": {huge}', 1)
+        assert huge in text
+        joint = tmp_path / "huge.json"
+        joint.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["solve", str(joint)])
+        assert (code, out) == (2, "")
+        assert err == "error: 'p' at X=0,Y=0,Z=0 must be a finite number\n"
+
 
 class TestIdentify:
     def test_writes_three_artifacts(self, identified):
@@ -294,6 +306,47 @@ class TestCheck:
         assert code == 2
         assert "unknown check" in err
 
+    def test_interaction_missing_supported_outcome_exits_4(self, capsys, identified, tmp_path):
+        # a coverage mismatch, as construct reports the same file
+        with open(identified["fwd_interaction"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["entries"][0]
+        gapped = write_json(tmp_path / "gapped.json", doc)
+        argv = ["check", F3, "--rewards", identified["fwd_rewards"], "--interaction", gapped,
+                "--checks", "admissibility"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: interaction table misses prior-supported outcome X=0 at context Y=0,Z=0\n"
+        )
+        code, out, err = run(capsys, ["construct", F3, "--interaction", gapped])
+        assert (code, out) == (4, "")
+        assert err.startswith("error: interaction file misses prior-supported outcome X=0")
+
+    def test_error_lines_render_bindings_as_reports_do(self, capsys, identified, tmp_path):
+        sparse = write_json(tmp_path / "sparse.json", joint_to_doc(sparse_joint()))
+        with open(identified["fwd_rewards"], encoding="utf-8") as fh:
+            rewards = json.load(fh)
+        dup = dict(rewards, entries=rewards["entries"] + rewards["entries"][:1])
+        short = dict(rewards, entries=rewards["entries"][1:])
+        bad_r = dict(rewards, entries=[dict(rewards["entries"][0], r="x")])
+        with open(identified["fwd_interaction"], encoding="utf-8") as fh:
+            interaction = json.load(fh)
+        gapped = dict(interaction, entries=interaction["entries"][1:])
+        cases = [
+            (["solve", sparse], 3),
+            (["solve", F3, "--rewards", write_json(tmp_path / "dup.json", dup)], 2),
+            (["solve", F3, "--rewards", write_json(tmp_path / "short.json", short)], 4),
+            (["check", F3, "--rewards", write_json(tmp_path / "bad_r.json", bad_r)], 2),
+            (["construct", F3, "--interaction", write_json(tmp_path / "gap.json", gapped)], 4),
+        ]
+        for argv, want in cases:
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (want, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Assignment(" not in err, err
+            assert "Y=0,Z=0" in err or "Y=1,Z=0" in err, err
+
     def test_commute_needs_swapped_file(self, capsys, identified):
         code, _, err = run(
             capsys,
@@ -347,6 +400,22 @@ class TestCountable:
         fam = write_json(tmp_path / "fam.json", self.family_doc(math.log(2.0)))
         doc = run_json(capsys, ["countable", fam, "--max-doublings", "3"])
         assert doc["status"] == "inconclusive"
+
+    @pytest.mark.parametrize("payoff", [{"slope": 800.0}, {"slope": 0.1, "intercept": 800.0}])
+    def test_parameters_beyond_exp_range(self, capsys, tmp_path, payoff):
+        # e^800 overflows a double; neither parameter may raise OverflowError
+        doc = self.family_doc(0.0)
+        doc["payoff"].update(payoff)
+        fam = write_json(tmp_path / "fam.json", doc)
+        code, out, err = run(capsys, ["countable", fam])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        if "intercept" in payoff:  # ratio 0.5 e^0.1 < 1: a finite series, log Z = 800 + ...
+            assert report["status"] == "finite"
+            want = 800.0 + math.log(0.5) - math.log1p(-0.5 * math.exp(0.1))
+            assert report["log_normalizer"] == pytest.approx(want, rel=1e-12)
+        else:
+            assert report["status"] == "diverged"
 
 
 class TestWriteFailures:

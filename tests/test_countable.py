@@ -58,6 +58,18 @@ class TestGeometricLinear:
         assert cert.status is CertificateStatus.INCONCLUSIVE
         assert math.isfinite(logz)
 
+    @pytest.mark.parametrize("slope, intercept", [(800.0, 0.0), (0.1, 800.0), (-800.0, 0.0)])
+    def test_parameters_beyond_exp_range(self, slope, intercept):
+        # e^800 overflows and e^-800 underflows a double; neither may raise
+        family = CountableFamily.geometric_linear(0.5, slope, intercept)
+        logz, cert = log_normalizer_truncated(family, EPS)
+        if slope > 700:
+            assert cert.status is CertificateStatus.DIVERGED
+        else:  # ratio 0.5 e^slope < 1: log Z = log(1 - q) + intercept - log(1 - ratio)
+            assert cert.status is CertificateStatus.FINITE
+            want = math.log(0.5) + intercept - math.log1p(-0.5 * math.exp(slope))
+            assert logz == pytest.approx(want, rel=1e-12)
+
     def test_tilted_probabilities(self):
         tilt = tilt_truncated(geometric_payoff_family(1.5), EPS)
         assert tilt.certificate.status is CertificateStatus.FINITE
@@ -95,6 +107,17 @@ class TestGeometricConstant:
         assert cert.status is CertificateStatus.FINITE
         assert cert.log_partial > 500.0
         assert logz == pytest.approx(600.0, abs=1e-12)
+
+    @pytest.mark.parametrize("family", [
+        CountableFamily.geometric_constant(0.5, -800.0),
+        CountableFamily.geometric_linear(0.5, 0.1, -800.0),
+    ])
+    def test_tail_bound_below_double_range_is_not_zero(self, family):
+        # every term is below e^-800, so the true tail bound underflows a
+        # double; a bound of exactly 0 would certify a tail of about 1e-5 of Z
+        assert family.tail_bound(16) > 0.0
+        _, cert = log_normalizer_truncated(family, EPS, max_doublings=3)
+        assert cert.status is CertificateStatus.INCONCLUSIVE
 
     def test_value_must_be_finite(self):
         with pytest.raises(ValidationError):
@@ -138,6 +161,35 @@ class TestSplitBounds:
         assert cert_s.status is CertificateStatus.FINITE
         assert abs(logz_s - logz_d) <= 1e-12
         assert cert_s.N == cert_d.N
+
+    def test_finite_tail_bound_is_never_diverged(self):
+        # payoff 700 min(n, 40) / 40 under geometric(1/2) pushes log_partial past
+        # the explosion threshold at N=32 with nondecreasing checkpoint terms,
+        # but the family's own bound there is finite (about 1.2e294), so Z < inf
+        family = CountableFamily.from_split_bounds(
+            log_prior_mass=lambda n: (n + 1) * math.log(0.5),
+            prior_tail=lambda n: 0.5 ** (n + 1),
+            payoff=lambda n: 700.0 * min(n, 40) / 40,
+            payoff_sup=lambda n: 700.0,
+        )
+        assert math.isfinite(family.tail_bound(32))
+        logz, cert = log_normalizer_truncated(family, EPS)
+        assert cert.status is CertificateStatus.FINITE
+        # exact: the first 40 terms, then 2^-40 e^700 for the geometric tail
+        terms = [700.0 * n / 40 - (n + 1) * math.log(2.0) for n in range(40)]
+        assert logz == pytest.approx(logsumexp(terms + [700.0 - 40 * math.log(2.0)]), abs=1e-9)
+
+    def test_payoff_sup_beyond_exp_range(self):
+        # exp(800) overflows a double; the bound must not raise OverflowError
+        family = CountableFamily.from_split_bounds(
+            log_prior_mass=lambda n: (n + 1) * math.log(0.5),
+            prior_tail=lambda n: 0.5 ** (n + 1),
+            payoff=lambda n: 800.0 * min(n, 40) / 40,
+            payoff_sup=lambda n: 800.0,
+        )
+        assert family.tail_bound(2000) == pytest.approx(math.exp(800.0 - 2001 * math.log(2.0)))
+        logz, cert = log_normalizer_truncated(family, EPS)
+        assert cert.status is not CertificateStatus.DIVERGED or cert.tail_bound == math.inf
 
     def test_negative_prior_tail_rejected(self):
         family = CountableFamily.from_split_bounds(

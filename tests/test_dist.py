@@ -243,14 +243,36 @@ def _outcome(call):
         return type(exc)
 
 
+# masses far below the normal range and the big masses they sit beside, so
+# that ratios of products overflow a double or fall below its normal range
+_TINY = (5e-324, 1e-320, 2.5e-310, 1e-300, 3e-200)
+_BIG = ((1.0,), (0.5, 0.5), (0.75, 0.25), (0.625, 0.25, 0.125))
+
+
 def _sparse_random_joint(rng: random.Random) -> JointTable:
     """1-4 variables of 1-3 labels each, about a third of the cells zero.
 
-    The total is exactly one or off it by about 1e-15, as JSON input can be.
+    The masses are one of: integers over one common total, exactly one or off
+    it by about 1e-15 as JSON input can be; fractions with unrelated
+    denominators that sum to exactly one; or doubles, a few big ones beside
+    subnormal and tiny ones, within 1e-12 of one.
     """
     names = rng.sample(["W", "X", "Y", "Z"], rng.randint(1, 4))
     specs = [VariableSpec(n, tuple(str(i) for i in range(rng.randint(1, 3)))) for n in names]
     cells = list(iter_group_assignments(specs))
+    kind = rng.choice(("common", "lcm", "extreme"))
+    if kind == "extreme":
+        big = rng.choice([b for b in _BIG if len(b) <= len(cells)])
+        masses = [0.0 if rng.random() < 0.35 else rng.choice(_TINY) for _ in cells]
+        for i, p in zip(rng.sample(range(len(cells)), len(big)), big):
+            masses[i] = p
+        return JointTable(specs, list(zip(cells, masses)))
+    if kind == "lcm":
+        raw = [0 if rng.random() < 0.35 else Fraction(rng.randint(1, 999), rng.randint(1, 999))
+               for _ in cells]
+        raw[rng.randrange(len(raw))] = Fraction(rng.randint(1, 999), rng.randint(1, 999))
+        total = sum(raw)
+        return JointTable(specs, [(c, w / total) for c, w in zip(cells, raw)])
     raw = [0 if rng.random() < 0.35 else rng.randint(10**14, 10**15) for _ in cells]
     raw[rng.randrange(len(raw))] = rng.randint(10**14, 10**15)
     total = sum(raw) + rng.randint(-1, 1)
@@ -262,10 +284,11 @@ def _random_event(rng: random.Random, joint: JointTable, names) -> dict[str, str
 
 
 class TestKernelAgainstScan:
-    """The memoized kernel against the plain scan in helpers, query by query."""
+    """The flat integer kernel against the plain Fraction scan in helpers, query
+    by query: masses equal exactly, conditionals and PMI bit for bit."""
 
     @seed(0x50F7)
-    @settings(max_examples=60)
+    @settings(max_examples=90)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_interleaved_queries_match_reference(self, case):
         rng = random.Random(case)
@@ -294,6 +317,8 @@ class TestKernelAgainstScan:
                 y = _random_event(rng, j, names[2 : rng.randint(2, len(names))])
                 got = _outcome(lambda: pmi(j, x, z, y))
                 assert got == _outcome(lambda: ref_pmi(j, x, z, y))
+                if isinstance(got, float):  # and bit-identical under x/z exchange
+                    assert pmi(j, z, x, y).hex() == got.hex()
         with pytest.raises(AttributeError):
             j.tol_norm = 0.5
         with pytest.raises(AttributeError):
