@@ -60,7 +60,7 @@ from .io import (
     reward_to_doc,
     values_from_doc,
 )
-from .tilt import SolverConfig, kl_decomposition_residual, solve_tilt
+from .tilt import SolverConfig, _decomposition_residual, solve_tilt
 
 IDENTITY_TOL = 1e-10
 EXTERNAL_ADMIT_TOL = 1e-8
@@ -387,7 +387,7 @@ def _check_decomposition(joint: JointTable, loaded: LoadedRewards, tol: float) -
             if p > 0:
                 point = tuple(1.0 if j == i else 0.0 for j in range(len(problem.prior.probs)))
                 probes.append(DistVector(problem.prior.over, point))
-        worst = max(kl_decomposition_residual(problem, probe) for probe in probes)
+        worst = max(_decomposition_residual(problem, solution, probe) for probe in probes)
         residuals.append((ctx, worst))
     max_residual = max((v for _, v in residuals), default=0.0)
     return CheckReport(

@@ -9,6 +9,12 @@ a certificate, 'diverged' when partial sums explode under nondecreasing
 terms while the tail bound is still +inf, or 'inconclusive' when the budget
 runs out. All accumulation happens in log space, so large payoffs cannot
 overflow the partial sums.
+
+The built-in geometric families build their terms a chunk at a time with
+C-level arithmetic over whole lists, bit for bit what their per-n callables
+compute; other families are called once per n. A checkpoint's partial sum
+is taken only where an upper bound on it cannot rule out both a certificate
+and divergence, and always at the last checkpoint.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Callable
 
 from .errors import InvalidBounds, NotFinite, ValidationError
@@ -55,7 +62,10 @@ class CountableFamily:
     called only where log_prior_mass(n) is finite. The solver evaluates the
     prior a chunk of terms ahead of the payoff, so an exception raised in
     log_prior_mass at n can surface before the payoff at some m < n is
-    evaluated.
+    evaluated. The built-in geometric families are the exception: their
+    callables are affine in n and the solver computes their values over a
+    whole chunk itself, calling neither per n unless the chunk's terms sum
+    to NaN or +inf.
     """
 
     log_prior_mass: Callable[[int], float]
@@ -119,8 +129,8 @@ class CountableFamily:
             return _bound_exp(log_scale + (n + 1) * log_ratio - math.log1p(-ratio))
 
         return cls(
-            log_prior_mass=lambda n: log_head + n * log_q,
-            payoff=lambda n: slope * n + intercept,
+            log_prior_mass=_Affine(log_head, log_q),
+            payoff=_Affine(intercept, slope),
             tail_bound=tail,
             describe=f"geometric(q={q!r}) with linear payoff",
         )
@@ -135,8 +145,10 @@ class CountableFamily:
         log_q = math.log(q)
         log_head = math.log1p(-q)
         return cls(
-            log_prior_mass=lambda n: log_head + n * log_q,
-            payoff=lambda n: value,
+            log_prior_mass=_Affine(log_head, log_q),
+            # n * -0.0 is -0.0 for every n >= 0, and x + -0.0 is x bit for bit
+            # (also for x = -0.0), so this payoff returns `value` itself
+            payoff=_Affine(value, -0.0),
             tail_bound=lambda n: _bound_exp((n + 1) * log_q + value),
             describe=f"geometric(q={q!r}) with constant payoff",
         )
@@ -163,6 +175,25 @@ class CountableFamily:
             tail_bound=tail,
             describe=f"finite embedding ({k} outcomes)",
         )
+
+
+class _Affine:
+    """The callable n -> offset + n * step, also evaluated a chunk at a time."""
+
+    __slots__ = ("offset", "step")
+
+    def __init__(self, offset: float, step: float) -> None:
+        self.offset = offset
+        self.step = step
+
+    def __call__(self, n: int) -> float:
+        return self.offset + n * self.step
+
+    def over(self, ns: list[float]):
+        """Lazily, the value at each n of ns, which holds float(n): `int * float`
+        converts the int exactly as float() does, so each value is bit for bit
+        the call's."""
+        return map(add, repeat(self.offset), map(mul, ns, repeat(self.step)))
 
 
 @dataclass(frozen=True)
@@ -237,6 +268,15 @@ def _term_chunk(family: CountableFamily, lo: int, hi: int) -> list[float]:
     Invalid values raise the error, at the same n, that a scan evaluating
     the prior and then the payoff term by term would raise first.
     """
+    prior, payoff = family.log_prior_mass, family.payoff
+    if isinstance(prior, _Affine) and isinstance(payoff, _Affine):
+        ns = list(map(float, range(lo, hi)))
+        terms = list(map(add, prior.over(ns), payoff.over(ns)))
+        # the sum is NaN or +inf if a term is (or if finite terms overflow);
+        # such a chunk is redone term by term below, which raises the scan's
+        # error at the scan's n, or keeps the term where the scan does
+        if sum(terms) < math.inf:
+            return terms
     lps = list(map(float, map(family.log_prior_mass, range(lo, hi))))
     i = first_invalid(lps)
     if i is not None:
@@ -262,7 +302,7 @@ def _truncate(
     top = -math.inf  # running max of log_terms
     prev_bound = math.inf
     prev_checkpoint_term: float | None = None
-    run = None
+    log_eps = math.log(eps_tail)
     for k in range(max_doublings + 1):
         n_stop = start << k
         for lo in range(len(log_terms), n_stop + 1, _CHUNK):
@@ -271,7 +311,6 @@ def _truncate(
             log_terms += chunk
         # a finite lp + payoff overflowed to +inf exactly when the max did
         require_log_terms((top,))
-        log_partial = shifted_log_sum(log_terms, top) if top > -math.inf else -math.inf
         bound = float(family.tail_bound(n_stop))
         if math.isnan(bound) or bound < 0:
             raise InvalidBounds(f"tail bound at N={n_stop} must be >= 0, got {bound!r}")
@@ -281,45 +320,34 @@ def _truncate(
                 f"at N={n_stop}"
             )
         prev_bound = bound
-        certified = (bound == 0.0 and log_partial > -math.inf) or (
-            bound > 0.0
-            and log_partial > -math.inf
-            and math.log(bound) < math.log(eps_tail) + log_partial
-        )
-        if certified:
-            return _TruncationRun(
-                status=CertificateStatus.FINITE,
-                N=n_stop,
-                log_partial=log_partial,
-                tail_bound=bound,
-                log_terms=log_terms,
-            )
         last_term = log_terms[n_stop]
-        # a finite tail bound proves Z finite, so only an unbounded tail may diverge
-        if (
-            bound == math.inf
-            and log_partial > explosion_log
-            and last_term > -math.inf
-            and prev_checkpoint_term is not None
-            and last_term >= prev_checkpoint_term - 1e-12
-        ):
-            return _TruncationRun(
-                status=CertificateStatus.DIVERGED,
-                N=n_stop,
-                log_partial=log_partial,
-                tail_bound=bound,
-                log_terms=log_terms,
-            )
-        prev_checkpoint_term = last_term
-        run = _TruncationRun(
-            status=CertificateStatus.INCONCLUSIVE,
-            N=n_stop,
-            log_partial=log_partial,
-            tail_bound=bound,
-            log_terms=log_terms,
+        # log_partial <= upper: n_stop + 1 terms of at most e^top, plus one
+        # nat for the rounding of exp, fsum, log and the addition
+        upper = top + math.log(n_stop + 1) + 1.0
+        decidable = (
+            upper > explosion_log if bound == math.inf
+            else bound == 0.0 or math.log(bound) < log_eps + upper
         )
-    assert run is not None
-    return run
+        if decidable or k == max_doublings:
+            log_partial = shifted_log_sum(log_terms, top) if top > -math.inf else -math.inf
+            status = CertificateStatus.INCONCLUSIVE
+            if log_partial > -math.inf and (
+                bound == 0.0 or math.log(bound) < log_eps + log_partial
+            ):
+                status = CertificateStatus.FINITE
+            # a finite tail bound proves Z finite, so only an unbounded tail may diverge
+            elif (
+                bound == math.inf
+                and log_partial > explosion_log
+                and last_term > -math.inf
+                and prev_checkpoint_term is not None
+                and last_term >= prev_checkpoint_term - 1e-12
+            ):
+                status = CertificateStatus.DIVERGED
+            if status is not CertificateStatus.INCONCLUSIVE or k == max_doublings:
+                return _TruncationRun(status, n_stop, log_partial, bound, log_terms)
+        prev_checkpoint_term = last_term
+    raise AssertionError("unreachable: the final checkpoint always returns")
 
 
 def _certificate(run: _TruncationRun) -> TruncationCertificate:
@@ -366,7 +394,9 @@ def tilt_truncated(
     run = _truncate(family, eps_tail, start, max_doublings, explosion_log)
     if run.status is not CertificateStatus.FINITE:
         raise NotFinite(f"no finite certificate within budget (status: {run.status.value})")
-    probs = tuple(_safe_exp(t - run.log_partial) for t in run.log_terms)
+    # log_partial >= every log-term, so each exponent is <= 0 and math.exp
+    # neither overflows nor differs from _safe_exp (exp(-inf) is 0.0)
+    probs = tuple(map(math.exp, map(sub, run.log_terms, repeat(run.log_partial))))
     if run.tail_bound == 0.0:
         tail_mass = 0.0
     else:

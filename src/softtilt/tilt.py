@@ -196,7 +196,14 @@ def kl_divergence(q: DistVector, p: DistVector) -> float:
 
 def kl_decomposition_residual(problem: SoftUpdateProblem, candidate: DistVector) -> float:
     """|J(q) - (soft_value - KL(q || q*) / alpha)|; identically zero in exact math."""
-    solution = solve_tilt(problem)
+    return _decomposition_residual(problem, solve_tilt(problem), candidate)
+
+
+def _decomposition_residual(
+    problem: SoftUpdateProblem, solution: SoftSolution, candidate: DistVector
+) -> float:
+    """kl_decomposition_residual given the problem's solution, so that probing
+    one problem at many candidates solves it once."""
     lhs = objective_value(problem, candidate)
     rhs = solution.soft_value - kl_divergence(candidate, solution.optimizer) / problem.config.alpha
     return abs(lhs - rhs)

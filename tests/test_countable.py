@@ -26,6 +26,7 @@ from softtilt import (
     tilt_truncated,
 )
 from softtilt.cli import main
+from softtilt.tilt import shifted_log_sum
 from helpers import random_problem, ref_logsumexp, ref_truncate
 
 EPS = 1e-12
@@ -297,15 +298,33 @@ def _position(rng: random.Random, terms: int) -> int:
     return rng.randrange(terms)
 
 
+def _near_exp_limit(rng: random.Random) -> float:
+    """A value whose exp lies just inside or beyond the double range, either sign."""
+    return rng.choice((-1.0, 1.0)) * rng.uniform(709.0, 800.0)
+
+
 def _random_family(rng: random.Random, terms: int) -> CountableFamily:
     """A built-in family, or a custom one with zero-mass n, -inf payoffs and
-    NaN, +inf or overflowing values injected somewhere in the first `terms` n."""
+    NaN, +inf or overflowing values injected somewhere in the first `terms` n.
+
+    Built-in draws reach q near 0 and 1, payoffs near the exp range limit and
+    slopes from 1e306 up, whose payoff overflows to +inf within a few n."""
     kind = rng.choice(("linear", "constant", "finite", "custom", "custom"))
-    q = rng.uniform(0.05, 0.95)
+    q = rng.choice((
+        rng.uniform(0.05, 0.95),
+        10.0 ** -rng.uniform(3.0, 300.0),
+        1.0 - 10.0 ** -rng.uniform(3.0, 15.0),
+    ))
     if kind == "linear":
-        return CountableFamily.geometric_linear(q, rng.uniform(-3.0, 1.5), rng.uniform(-2.0, 2.0))
+        slope = rng.choice(
+            (rng.uniform(-3.0, 1.5), _near_exp_limit(rng), rng.uniform(1e306, 1.7e308))
+        )
+        intercept = rng.choice((rng.uniform(-2.0, 2.0), _near_exp_limit(rng)))
+        return CountableFamily.geometric_linear(q, slope, intercept)
     if kind == "constant":
-        return CountableFamily.geometric_constant(q, rng.uniform(-5.0, 700.0))
+        return CountableFamily.geometric_constant(
+            q, rng.choice((rng.uniform(-5.0, 700.0), _near_exp_limit(rng)))
+        )
     if kind == "finite":
         return CountableFamily.from_finite(random_problem(rng, max_k=12))
     log_q, head, slope = math.log(q), math.log1p(-q), rng.uniform(-1.0, 1.0)
@@ -373,10 +392,12 @@ class TestKernelAgainstScan:
         family = _random_family(rng, (start << doublings) + 1)
         kwargs = {"eps_tail": rng.choice((1e-12, 1e-3)), "start": start, "max_doublings": doublings}
         for solver in (log_normalizer_truncated, tilt_truncated):
-            got = _outcome(lambda: solver(_recorded(family), **kwargs))
             with mock.patch.object(countable, "_truncate", ref_truncate):
                 want = _outcome(lambda: solver(family, **kwargs))
-            assert got == want
+            # wrapped, every family is called per n; unwrapped, the built-in
+            # families take the chunk path
+            for run in (_recorded(family), family):
+                assert _outcome(lambda: solver(run, **kwargs)) == want
 
     @pytest.mark.parametrize(
         "bad_payoff_at, bad_prior_at, doublings",
@@ -398,6 +419,14 @@ class TestKernelAgainstScan:
         assert got[0] is ValidationError
         assert got == _outcome(lambda: ref_truncate(family, EPS, CHUNK, doublings, 500.0))
 
+    def test_overflowing_payoff_raises_the_scan_error(self):
+        # 1e308 * n overflows from n = 2 on: the chunk path falls back and
+        # raises where the scan does
+        family = CountableFamily.geometric_linear(0.5, 1e308)
+        got = _outcome(lambda: log_normalizer_truncated(family, EPS, start=1, max_doublings=3))
+        assert got == (ValidationError, "payoff at n=2 must be in [-inf, inf), got inf")
+        assert got == _outcome(lambda: ref_truncate(family, EPS, 1, 3, 500.0))
+
     @seed(0x15E)
     @settings(max_examples=60)
     @given(
@@ -414,6 +443,94 @@ class TestKernelAgainstScan:
     @example([-math.inf, -math.inf], tuple)
     def test_logsumexp_matches_reference(self, xs, wrap):
         assert _outcome(lambda: logsumexp(wrap(xs))) == _outcome(lambda: ref_logsumexp(xs))
+
+
+def _hexes(xs) -> list[str]:
+    return list(map(float.hex, xs))
+
+
+class TestAffineChunks:
+    """The built-in families' chunk path against their per-n formulas, bit for bit."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 40), (CHUNK - 3, CHUNK + 3), (3 * CHUNK - 1, 3 * CHUNK + 2), (2**40, 2**40 + 40)
+    ])
+    @pytest.mark.parametrize("q, slope, intercept", [
+        (0.5, math.log(2.0), 0.0),
+        (0.9, 0.10526051565782635, -0.0),
+        (1e-300, 750.0, -750.0),
+        (1.0 - 1e-12, -3.0, 2.5),
+        (0.37, -1e300, 709.5),
+    ])
+    def test_chunk_matches_per_n_formulas(self, lo, hi, q, slope, intercept):
+        log_q, head = math.log(q), math.log1p(-q)
+        linear = CountableFamily.geometric_linear(q, slope, intercept)
+        constant = CountableFamily.geometric_constant(q, intercept)
+        ns = range(lo, hi)
+        cases = ((linear, lambda n: slope * n + intercept), (constant, lambda n: intercept))
+        for family, payoff in cases:
+            priors = [head + n * log_q for n in ns]
+            payoffs = [payoff(n) for n in ns]
+            assert _hexes(map(family.log_prior_mass, ns)) == _hexes(priors)
+            assert _hexes(map(family.payoff, ns)) == _hexes(payoffs)
+            want = [p + s for p, s in zip(priors, payoffs)]
+            assert _hexes(countable._term_chunk(family, lo, hi)) == _hexes(want)
+
+
+class TestLazyCheckpointSums:
+    """A checkpoint's partial sum is taken only where it can decide the run."""
+
+    def summed_at(self, family, **kwargs):
+        """The checkpoints N whose partial sum was taken, and the solver's result."""
+        sums = []
+
+        def spy(xs, shift):
+            sums.append(len(xs) - 1)
+            return shifted_log_sum(xs, shift)
+
+        with mock.patch.object(countable, "shifted_log_sum", spy):
+            result = log_normalizer_truncated(family, **kwargs)
+        return sums, result
+
+    def test_unbounded_tail_below_explosion_sums_once(self):
+        # the ratio-one family: tail bound +inf and log_partial about 10 < 500
+        family = geometric_payoff_family(2.0)
+        sums, (_, cert) = self.summed_at(family, eps_tail=EPS, max_doublings=6)
+        assert sums == [16 << 6]
+        assert cert.status is CertificateStatus.INCONCLUSIVE
+
+    def test_certifying_checkpoint_is_summed(self):
+        family = CountableFamily.geometric_linear(0.9, 0.10526051565782635)
+        sums, (logz, cert) = self.summed_at(family, eps_tail=EPS)
+        assert sums[-1] == cert.N and len(sums) <= 2
+        want = ref_truncate(
+            family, EPS, countable.DEFAULT_START, countable.DEFAULT_MAX_DOUBLINGS, 500.0
+        )
+        assert (cert.status, cert.N, logz) == (want.status, want.N, want.log_partial)
+
+    # every log-term is 0, so the partial sum at N is log(N + 1); the first
+    # checkpoint N=16 is summed only if its upper bound log(17) + 1 reaches the
+    # threshold, which is log(17) + gap
+    @pytest.mark.parametrize("gap, summed", [(0.5, True), (0.9, True), (1.1, False), (1.5, False)])
+    def test_explosion_threshold_margin(self, gap, summed):
+        family = CountableFamily(lambda n: 0.0, lambda n: 0.0, lambda n: math.inf)
+        sums, _ = self.summed_at(
+            family, eps_tail=EPS, max_doublings=1, explosion_log=math.log(17) + gap
+        )
+        assert sums == ([16, 32] if summed else [32])
+
+    @pytest.mark.parametrize("gap, summed", [(0.5, True), (0.9, True), (1.1, False), (1.5, False)])
+    def test_tail_bound_margin(self, gap, summed):
+        eps = 1e-3
+        bound = math.exp(math.log(eps) + math.log(17) + gap)
+        family = CountableFamily(lambda n: 0.0, lambda n: 0.0, lambda n: bound)
+        sums, (_, cert) = self.summed_at(family, eps_tail=eps, max_doublings=1)
+        assert sums == ([16, 32] if summed else [32])
+        # the final checkpoint certifies when log(bound) < log(eps) + log(33)
+        if gap < math.log(33 / 17):
+            assert cert.status is CertificateStatus.FINITE
+        else:
+            assert cert.status is CertificateStatus.INCONCLUSIVE
 
 
 # -------------------------------- reports pinned for the benchmark families
