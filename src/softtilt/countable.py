@@ -10,17 +10,26 @@ terms while the tail bound is still +inf, or 'inconclusive' when the budget
 runs out. All accumulation happens in log space, so large payoffs cannot
 overflow the partial sums.
 
-The built-in geometric families build their terms a chunk at a time with
-C-level arithmetic over whole lists, bit for bit what their per-n callables
-compute; other families are called once per n. A checkpoint's partial sum
-is taken only where an upper bound on it cannot rule out both a certificate
-and divergence, and always at the last checkpoint.
+The built-in geometric families keep their exact parameters q, slope and
+intercept. Before scanning one of them, a plan bounds every checkpoint's
+partial sum from the two end terms alone; when no checkpoint can then reach
+a certificate or divergence, the run is reported 'inconclusive' at its last
+checkpoint without building a term, and its log partial sum is the exact
+sum of the family's series, evaluated in `decimal` and rounded once. The
+exact sign of slope + ln q also decides whether the series may diverge at
+all. Every other run is scanned. The built-in families build their terms a
+chunk at a time with C-level arithmetic over whole lists, bit for bit what
+their per-n callables compute; other families are called once per n. A
+checkpoint's partial sum is taken only where an upper bound on it cannot
+rule out both a certificate and divergence, and always at the last
+checkpoint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from enum import Enum
 from itertools import repeat
 from operator import add, mul, sub
@@ -65,7 +74,8 @@ class CountableFamily:
     evaluated. The built-in geometric families are the exception: their
     callables are affine in n and the solver computes their values over a
     whole chunk itself, calling neither per n unless the chunk's terms sum
-    to NaN or +inf.
+    to NaN or +inf; before a scan it evaluates them at n = 0 and at each
+    checkpoint.
     """
 
     log_prior_mass: Callable[[int], float]
@@ -86,7 +96,8 @@ class CountableFamily:
 
         The tilted tail is then bounded by T(N) exp(B(N)). Only usable when
         the payoff is bounded above on tails; for growing payoffs supply a
-        direct tilted-tail bound instead.
+        direct tilted-tail bound instead. A finite bound above the double
+        range reads +inf but keeps its logarithm, which rules out divergence.
         """
 
         def tail(n: int) -> float:
@@ -97,9 +108,12 @@ class CountableFamily:
                 return 0.0
             s = payoff_sup(n)
             try:
-                return t * math.exp(s)
+                bound = t * math.exp(s)
             except OverflowError:  # exp(s) alone overflows; the product may not
-                return _safe_exp(math.log(t) + s)
+                bound = _safe_exp(math.log(t) + s)
+            if bound == math.inf and t < math.inf and s < math.inf:
+                return _Overflowed(math.log(t) + s)
+            return bound
 
         return cls(log_prior_mass=log_prior_mass, payoff=payoff, tail_bound=tail, describe=describe)
 
@@ -115,8 +129,8 @@ class CountableFamily:
             raise ValidationError(f"geometric parameter must lie in (0, 1), got {q!r}")
         if not math.isfinite(slope) or not math.isfinite(intercept):
             raise ValidationError("payoff slope and intercept must be finite")
-        log_q = math.log(q)
-        log_head = math.log1p(-q)
+        prior = _GeometricPrior(q)
+        log_head, log_q = prior.offset, prior.step
         ratio = q * _exp_or_inf(slope)
         scale = (1.0 - q) * _exp_or_inf(intercept)
         # the log of a product that is a positive double, else the sum of the logs
@@ -129,7 +143,7 @@ class CountableFamily:
             return _bound_exp(log_scale + (n + 1) * log_ratio - math.log1p(-ratio))
 
         return cls(
-            log_prior_mass=_Affine(log_head, log_q),
+            log_prior_mass=prior,
             payoff=_Affine(intercept, slope),
             tail_bound=tail,
             describe=f"geometric(q={q!r}) with linear payoff",
@@ -142,10 +156,10 @@ class CountableFamily:
             raise ValidationError(f"geometric parameter must lie in (0, 1), got {q!r}")
         if not math.isfinite(value):
             raise ValidationError("payoff value must be finite")
-        log_q = math.log(q)
-        log_head = math.log1p(-q)
+        prior = _GeometricPrior(q)
+        log_q = prior.step
         return cls(
-            log_prior_mass=_Affine(log_head, log_q),
+            log_prior_mass=prior,
             # n * -0.0 is -0.0 for every n >= 0, and x + -0.0 is x bit for bit
             # (also for x = -0.0), so this payoff returns `value` itself
             payoff=_Affine(value, -0.0),
@@ -194,6 +208,28 @@ class _Affine:
         converts the int exactly as float() does, so each value is bit for bit
         the call's."""
         return map(add, repeat(self.offset), map(mul, ns, repeat(self.step)))
+
+
+class _GeometricPrior(_Affine):
+    """log((1-q) q^n) as log1p(-q) + n log q, keeping the exact q."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: float) -> None:
+        super().__init__(math.log1p(-q), math.log(q))
+        self.q = q
+
+
+class _Overflowed(float):
+    """A finite tail bound above the double range: +inf as a float, which
+    certifies nothing, with the bound's natural log in `log`."""
+
+    __slots__ = ("log",)
+
+    def __new__(cls, log: float) -> "_Overflowed":
+        self = super().__new__(cls, math.inf)
+        self.log = log
+        return self
 
 
 @dataclass(frozen=True)
@@ -287,6 +323,139 @@ def _term_chunk(family: CountableFamily, lo: int, hi: int) -> list[float]:
     return list(map(add, lps, _payoffs(family, lo, lps)))
 
 
+def _checked_bound(family: CountableFamily, n: int, prev: float) -> tuple[float, bool]:
+    """tail_bound(n) as a float, checked against the contract, and whether it
+    proves the series finite: it is finite, or its logarithm is."""
+    raw = family.tail_bound(n)
+    bound = float(raw)
+    if math.isnan(bound) or bound < 0:
+        raise InvalidBounds(f"tail bound at N={n} must be >= 0, got {bound!r}")
+    if bound > prev:
+        raise InvalidBounds(
+            f"tail bound increased along the schedule: {prev!r} -> {bound!r} at N={n}"
+        )
+    return bound, bound < math.inf or getattr(raw, "log", math.inf) < math.inf
+
+
+def _upper(top: float, n: int) -> float:
+    """An upper bound on the log partial sum of n + 1 log-terms of at most top:
+    one nat above top + log(n + 1) covers the rounding of exp, fsum, log and
+    the additions."""
+    return top + math.log(n + 1) + 1.0
+
+
+def _reached(
+    bound: float, log_partial: float, log_eps: float, explosion_log: float, unbounded: bool
+) -> CertificateStatus:
+    """The status a checkpoint with this tail bound and log partial sum reaches,
+    before 'diverged' also asks for nondecreasing checkpoint terms; `unbounded`
+    says that nothing proves the series finite.
+
+    The only place the certificate rule is stated. Each outcome, once reached,
+    stays reached as log_partial grows, so an upper bound on the partial sum
+    shows whether a checkpoint can decide anything at all."""
+    if log_partial > -math.inf and (bound == 0.0 or math.log(bound) < log_eps + log_partial):
+        return CertificateStatus.FINITE
+    if unbounded and log_partial > explosion_log:
+        return CertificateStatus.DIVERGED
+    return CertificateStatus.INCONCLUSIVE
+
+
+def _log_ratio_sign(q: float, slope: float) -> tuple[int, int]:
+    """The exact sign of slope + ln q, and a precision in digits that resolves it.
+
+    Decimal's ln is correctly rounded, so ln q lies strictly between the
+    neighbours of its rounded value. ln q is transcendental for a rational
+    q != 1 (Lindemann), so slope + ln q != 0 and doubling the precision ends."""
+    minus_slope = Decimal(-slope)
+    prec = 40
+    while True:
+        ctx = Context(prec=prec)
+        ln_q = ctx.ln(Decimal(q))
+        if minus_slope > ctx.next_plus(ln_q):
+            return -1, prec
+        if minus_slope < ctx.next_minus(ln_q):
+            return 1, prec
+        prec *= 2
+
+
+def _exact_log_partial(q: float, slope: float, intercept: float, n: int, prec: int) -> float:
+    """log sum_{m<=n} (1-q) q^m e^(slope m + intercept) for the exact parameters.
+
+    With L = slope + ln q and K = |L| this is ln(1-q) + intercept + max(0, nL)
+    + ln((1 - e^-((n+1)K)) / (1 - e^-K)). prec resolves the sign of L, so
+    50 more digits leave L about 50 significant digits. The sum is taken at
+    that precision and at twice as many digits, doubling again until two
+    successive values round to the same double, which is returned.
+    """
+    q_, slope_, intercept_ = Decimal(q), Decimal(slope), Decimal(intercept)
+    # exact: a double in (0, 1) has at most 1074 decimal places
+    one_minus_q = Context(prec=1100).subtract(1, q_)
+    prec += 50
+    value = None
+    while True:
+        with localcontext(Context(prec=prec)):
+            log_ratio = slope_ + q_.ln()
+            k = abs(log_ratio)
+            log_sum = ((1 - (-(n + 1) * k).exp()) / (1 - (-k).exp())).ln()
+            exact = one_minus_q.ln() + intercept_ + max(n * log_ratio, 0) + log_sum
+        if float(exact) == value:
+            return value
+        value, prec = float(exact), 2 * prec
+
+
+def _max_term_bound(prior: _Affine, payoff: _Affine, n: int) -> float:
+    """An upper bound on the log-terms the scan computes for 0 <= m <= n < 2^53.
+
+    The scan's log-term at m is fl(fl(h + fl(m g)) + fl(c + fl(m s))) for the
+    prior's offset h and step g and the payoff's c and s. Its exact value is
+    affine in m, so it peaks at an end, and each rounding moves it by at most
+    2^-53 of the magnitudes summed: the largest term is below the larger
+    computed end term plus twice 3 * 2^-53 (|h| + |c| + n(|g| + |s|)). The
+    slack of 2^-48 times that sum, plus 2^-1000 for subnormal results, covers
+    this four times over, with the rounding of the slack's own arithmetic.
+    """
+    magnitude = abs(prior.offset) + abs(payoff.offset) + n * (abs(prior.step) + abs(payoff.step))
+    ends = max(prior(0) + payoff(0), prior(n) + payoff(n))
+    return ends + (2.0**-48 * magnitude + 2.0**-1000)
+
+
+def _plan(
+    family: CountableFamily,
+    log_eps: float,
+    start: int,
+    max_doublings: int,
+    explosion_log: float,
+    may_diverge: bool,
+    prec: int,
+) -> _TruncationRun | None:
+    """The scan's run for a built-in geometric family when no checkpoint can
+    decide it, found without building a term; None when the family must be
+    scanned.
+
+    _max_term_bound is at least the scan's largest log-term, so by _reached's
+    monotonicity a checkpoint the plan cannot decide, the scan cannot either:
+    it sums only the last checkpoint, and reports it 'inconclusive'.
+    """
+    prior, payoff = family.log_prior_mass, family.payoff
+    n_last = start << max_doublings
+    # n < 2**53 converts to float exactly; a +inf payoff is the scan's error to raise
+    if n_last >= 2**53 or not (math.isfinite(payoff(0)) and math.isfinite(payoff(n_last))):
+        return None
+    bound = math.inf
+    for k in range(max_doublings + 1):
+        n_stop = start << k
+        bound, bounded = _checked_bound(family, n_stop, bound)
+        top = _max_term_bound(prior, payoff, n_stop)
+        reached = _reached(
+            bound, _upper(top, n_stop), log_eps, explosion_log, may_diverge and not bounded
+        )
+        if reached is not CertificateStatus.INCONCLUSIVE:
+            return None
+    log_partial = _exact_log_partial(prior.q, payoff.step, payoff.offset, n_last, prec)
+    return _TruncationRun(CertificateStatus.INCONCLUSIVE, n_last, log_partial, bound, [])
+
+
 def _truncate(
     family: CountableFamily,
     eps_tail: float,
@@ -298,11 +467,20 @@ def _truncate(
         raise ValidationError(f"eps_tail must be finite and > 0, got {eps_tail!r}")
     if start < 1 or max_doublings < 0:
         raise ValidationError("truncation schedule must have start >= 1, doublings >= 0")
+    log_eps = math.log(eps_tail)
+    may_diverge = True
+    prior, payoff = family.log_prior_mass, family.payoff
+    if isinstance(prior, _GeometricPrior) and isinstance(payoff, _Affine):
+        sign, prec = _log_ratio_sign(prior.q, payoff.step)
+        # a ratio q e^slope below one converges, whatever its float rounds to
+        may_diverge = sign > 0
+        run = _plan(family, log_eps, start, max_doublings, explosion_log, may_diverge, prec)
+        if run is not None:
+            return run
     log_terms: list[float] = []
     top = -math.inf  # running max of log_terms
-    prev_bound = math.inf
+    bound = math.inf
     prev_checkpoint_term: float | None = None
-    log_eps = math.log(eps_tail)
     for k in range(max_doublings + 1):
         n_stop = start << k
         for lo in range(len(log_terms), n_stop + 1, _CHUNK):
@@ -311,40 +489,22 @@ def _truncate(
             log_terms += chunk
         # a finite lp + payoff overflowed to +inf exactly when the max did
         require_log_terms((top,))
-        bound = float(family.tail_bound(n_stop))
-        if math.isnan(bound) or bound < 0:
-            raise InvalidBounds(f"tail bound at N={n_stop} must be >= 0, got {bound!r}")
-        if bound > prev_bound:
-            raise InvalidBounds(
-                f"tail bound increased along the schedule: {prev_bound!r} -> {bound!r} "
-                f"at N={n_stop}"
-            )
-        prev_bound = bound
+        bound, bounded = _checked_bound(family, n_stop, bound)
+        # a bound that proves Z finite rules out divergence
+        unbounded = may_diverge and not bounded
+        last = k == max_doublings
         last_term = log_terms[n_stop]
-        # log_partial <= upper: n_stop + 1 terms of at most e^top, plus one
-        # nat for the rounding of exp, fsum, log and the addition
-        upper = top + math.log(n_stop + 1) + 1.0
-        decidable = (
-            upper > explosion_log if bound == math.inf
-            else bound == 0.0 or math.log(bound) < log_eps + upper
-        )
-        if decidable or k == max_doublings:
+        reachable = _reached(bound, _upper(top, n_stop), log_eps, explosion_log, unbounded)
+        if last or reachable is not CertificateStatus.INCONCLUSIVE:
             log_partial = shifted_log_sum(log_terms, top) if top > -math.inf else -math.inf
-            status = CertificateStatus.INCONCLUSIVE
-            if log_partial > -math.inf and (
-                bound == 0.0 or math.log(bound) < log_eps + log_partial
-            ):
-                status = CertificateStatus.FINITE
-            # a finite tail bound proves Z finite, so only an unbounded tail may diverge
-            elif (
-                bound == math.inf
-                and log_partial > explosion_log
-                and last_term > -math.inf
+            status = _reached(bound, log_partial, log_eps, explosion_log, unbounded)
+            if status is CertificateStatus.DIVERGED and not (
+                last_term > -math.inf
                 and prev_checkpoint_term is not None
                 and last_term >= prev_checkpoint_term - 1e-12
             ):
-                status = CertificateStatus.DIVERGED
-            if status is not CertificateStatus.INCONCLUSIVE or k == max_doublings:
+                status = CertificateStatus.INCONCLUSIVE
+            if last or status is not CertificateStatus.INCONCLUSIVE:
                 return _TruncationRun(status, n_stop, log_partial, bound, log_terms)
         prev_checkpoint_term = last_term
     raise AssertionError("unreachable: the final checkpoint always returns")

@@ -6,6 +6,9 @@ import dataclasses
 import json
 import math
 import random
+import re
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -181,7 +184,9 @@ class TestSplitBounds:
         assert logz == pytest.approx(logsumexp(terms + [700.0 - 40 * math.log(2.0)]), abs=1e-9)
 
     def test_payoff_sup_beyond_exp_range(self):
-        # exp(800) overflows a double; the bound must not raise OverflowError
+        # exp(800) overflows a double; the bound must not raise OverflowError.
+        # Up to N=128 the bound t e^800 is finite but above the double range:
+        # it reads +inf, yet still proves Z finite, so the run may not diverge
         family = CountableFamily.from_split_bounds(
             log_prior_mass=lambda n: (n + 1) * math.log(0.5),
             prior_tail=lambda n: 0.5 ** (n + 1),
@@ -189,8 +194,13 @@ class TestSplitBounds:
             payoff_sup=lambda n: 800.0,
         )
         assert family.tail_bound(2000) == pytest.approx(math.exp(800.0 - 2001 * math.log(2.0)))
+        assert family.tail_bound(32) == math.inf
         logz, cert = log_normalizer_truncated(family, EPS)
-        assert cert.status is not CertificateStatus.DIVERGED or cert.tail_bound == math.inf
+        assert cert.status is CertificateStatus.FINITE
+        assert cert.tail_bound < math.inf
+        # exact: the first 40 terms, then 2^-40 e^800 for the geometric tail
+        terms = [800.0 * n / 40 - (n + 1) * math.log(2.0) for n in range(40)]
+        assert logz == pytest.approx(logsumexp(terms + [800.0 - 40 * math.log(2.0)]), abs=1e-9)
 
     def test_negative_prior_tail_rejected(self):
         family = CountableFamily.from_split_bounds(
@@ -356,6 +366,53 @@ def _random_family(rng: random.Random, terms: int) -> CountableFamily:
     return CountableFamily(log_prior_mass, payoff, tail)
 
 
+def _log_ratio_negative(q: float, slope: float) -> bool:
+    """Whether slope + ln q < 0, at 200 digits."""
+    with localcontext(Context(prec=200)):
+        return Decimal(slope) + Decimal(q).ln() < 0
+
+
+def _decimal_log_partial(q: float, slope: float, intercept: float, n: int) -> float:
+    """log of the n + 1 exact terms (1-q) q^m e^(slope m + intercept), each
+    exponentiated and summed one by one at 60 digits."""
+    with localcontext(Context(prec=60)):
+        one_minus_q = 1 - Fraction(q)
+        head = (Decimal(one_minus_q.numerator) / one_minus_q.denominator).ln() + Decimal(intercept)
+        log_ratio = Decimal(slope) + Decimal(q).ln()
+        logs = [head + m * log_ratio for m in range(n + 1)]
+        top = max(logs)
+        return float(top + sum((x - top).exp() for x in logs).ln())
+
+
+def _assert_run_matches_scan(family, eps_tail, start, max_doublings):
+    """countable._truncate against the reference scan: the same error, or the
+    same status, N and tail bound bit for bit. A scanned run also has the
+    scan's log-terms and log partial sum bit for bit; a run the plan decides
+    builds no term, and its log partial sum lies within one ulp of the exact
+    terms summed in decimal.
+
+    The reference scan knows no exact ratio: for a built-in family whose
+    slope + ln q is negative it runs with no explosion threshold, which is
+    what 'the series converges, so it cannot diverge' means to it."""
+    prior, payoff = family.log_prior_mass, family.payoff
+    geometric = isinstance(prior, countable._GeometricPrior)
+    converges = geometric and _log_ratio_negative(prior.q, payoff.step)
+    try:
+        want = ref_truncate(family, eps_tail, start, max_doublings, math.inf if converges else 500.0)
+    except SoftTiltError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            countable._truncate(family, eps_tail, start, max_doublings, 500.0)
+        return
+    got = countable._truncate(family, eps_tail, start, max_doublings, 500.0)
+    assert (got.status, got.N, got.tail_bound.hex()) == (want.status, want.N, want.tail_bound.hex())
+    if got.log_terms:
+        assert _hexes(got.log_terms) == _hexes(want.log_terms)
+        assert got.log_partial.hex() == want.log_partial.hex()
+    else:
+        exact = _decimal_log_partial(prior.q, payoff.step, payoff.offset, got.N)
+        assert abs(got.log_partial - exact) <= math.ulp(exact)
+
+
 def _recorded(family: CountableFamily) -> CountableFamily:
     """The family with its callables checked against the call contract."""
     priors: dict[int, float] = {}
@@ -376,7 +433,8 @@ def _recorded(family: CountableFamily) -> CountableFamily:
 
 
 class TestKernelAgainstScan:
-    """The chunked kernel against the per-term scan in helpers, bit for bit."""
+    """The chunked kernel against the per-term scan in helpers, bit for bit
+    except for the log partial sum of a run the plan decides."""
 
     @seed(0xC4A1)
     @settings(max_examples=60)
@@ -394,10 +452,10 @@ class TestKernelAgainstScan:
         for solver in (log_normalizer_truncated, tilt_truncated):
             with mock.patch.object(countable, "_truncate", ref_truncate):
                 want = _outcome(lambda: solver(family, **kwargs))
-            # wrapped, every family is called per n; unwrapped, the built-in
-            # families take the chunk path
-            for run in (_recorded(family), family):
-                assert _outcome(lambda: solver(run, **kwargs)) == want
+            # wrapped, every family is called per n and scanned
+            assert _outcome(lambda: solver(_recorded(family), **kwargs)) == want
+        # unwrapped, the built-in families are planned, then take the chunk path
+        _assert_run_matches_scan(family, **kwargs)
 
     @pytest.mark.parametrize(
         "bad_payoff_at, bad_prior_at, doublings",
@@ -477,6 +535,108 @@ class TestAffineChunks:
             assert _hexes(countable._term_chunk(family, lo, hi)) == _hexes(want)
 
 
+def _near_minus_log_q(q: float, ulps: int) -> float:
+    """The double `ulps` steps away from -log(q)."""
+    x = -math.log(q)
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+class TestPlan:
+    """Runs no checkpoint can decide are reported without building a term."""
+
+    @seed(0x9A1)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.integers(min_value=0, max_value=2**32 - 1),
+        start=st.integers(1, 16),
+        doublings=st.integers(0, 5),
+    )
+    def test_plan_matches_reference(self, case, start, doublings):
+        rng = random.Random(case)
+        q = rng.choice((
+            0.5, rng.uniform(0.01, 0.99), 10.0 ** -rng.uniform(2.0, 300.0),
+            1.0 - 10.0 ** -rng.uniform(2.0, 15.0),
+        ))
+        intercept = rng.choice((rng.uniform(-5.0, 5.0), rng.uniform(400.0, 800.0), -700.0))
+        if rng.random() < 0.2:
+            family = CountableFamily.geometric_constant(q, intercept)
+        else:
+            slope = rng.choice((
+                _near_minus_log_q(q, rng.randint(-4, 4)),
+                -math.log(q) + rng.uniform(-1e-3, 1e-3),
+                rng.uniform(-3.0, 3.0),
+            ))
+            family = CountableFamily.geometric_linear(q, slope, intercept)
+        eps_tail = rng.choice((1e-12, 1e-3, 0.5))
+        _assert_run_matches_scan(family, eps_tail, start, doublings)
+
+    @seed(0x70B)
+    @settings(max_examples=40)
+    @given(case=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 5000))
+    def test_max_term_bound_covers_every_term(self, case, n):
+        # with the ratio near one the terms are flat, so an interior term's
+        # rounding can lift it above both end terms
+        rng = random.Random(case)
+        q = rng.choice((0.5, rng.uniform(0.01, 0.99), 1.0 - 10.0 ** -rng.uniform(2.0, 15.0)))
+        slope = rng.choice((_near_minus_log_q(q, rng.randint(-4, 4)), rng.uniform(-3.0, 3.0)))
+        intercept = rng.choice((0.0, rng.uniform(-800.0, 800.0)))
+        family = CountableFamily.geometric_linear(q, slope, intercept)
+        terms = countable._term_chunk(family, 0, n + 1)
+        assert max(terms) <= countable._max_term_bound(family.log_prior_mass, family.payoff, n)
+
+    def test_cli_ratio_one_builds_no_term(self, tmp_path, capsys):
+        doc, report = BENCH_FAMILIES["ratio_one"]
+        path = tmp_path / "family.json"
+        path.write_text(doc, encoding="utf-8")
+        with mock.patch.object(countable, "_term_chunk", wraps=countable._term_chunk) as spy:
+            assert main(["countable", str(path)]) == 0
+        assert spy.call_count == 0
+        assert capsys.readouterr().out == report
+
+    def test_convergent_near_one_ratio_is_not_diverged(self, tmp_path, capsys):
+        # slope + ln q = -2.3e-17 < 0, so the series converges, although
+        # q * exp(slope) rounds to 1.0 and log_partial passes 500 at N=32
+        doc = {
+            "prior": {"kind": "geometric", "q": 0.5},
+            "payoff": {"kind": "linear", "slope": 0.6931471805599453, "intercept": 600},
+            "bounds": {"tail": "geometric", "payoff": "linear"},
+        }
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with mock.patch.object(countable, "_term_chunk", wraps=countable._term_chunk) as spy:
+            assert main(["countable", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert spy.call_count == 0
+        assert (report["status"], report["terms"], report["tail_bound"]) == (
+            "inconclusive", 2097152, "inf"
+        )
+        # 600 + ln(1/2) + ln sum_{n <= N} e^(nL) at 60 digits, rounded once
+        assert report["log_partial"] == float("613.862944088011633736349402")
+
+    def test_convergent_ratio_never_diverges_in_the_scan(self):
+        # the same family, scanned: diverged must not fire there either
+        family = CountableFamily.geometric_linear(0.5, 0.6931471805599453, 600.0)
+        with mock.patch.object(countable, "_plan", return_value=None):
+            logz, cert = log_normalizer_truncated(family, EPS, max_doublings=4)
+        assert (cert.status, cert.N) == (CertificateStatus.INCONCLUSIVE, 256)
+        assert logz > 500.0
+        # with slope one ulp above -ln(1/2), the series diverges, and the scan says so
+        family = CountableFamily.geometric_linear(0.5, _near_minus_log_q(0.5, 1), 600.0)
+        _, cert = log_normalizer_truncated(family, EPS, max_doublings=4)
+        assert (cert.status, cert.N) == (CertificateStatus.DIVERGED, 32)
+
+    def test_replaced_callables_are_scanned(self):
+        family = CountableFamily.geometric_linear(0.5, math.log(2.0))
+        payoff = family.payoff
+        custom = dataclasses.replace(family, payoff=lambda n: payoff(n))
+        with mock.patch.object(countable, "_term_chunk", wraps=countable._term_chunk) as spy:
+            _, cert = log_normalizer_truncated(custom, EPS, max_doublings=2)
+        assert spy.call_count == 3  # one chunk for each of the 3 checkpoints
+        assert cert.status is CertificateStatus.INCONCLUSIVE
+
+
 class TestLazyCheckpointSums:
     """A checkpoint's partial sum is taken only where it can decide the run."""
 
@@ -493,8 +653,11 @@ class TestLazyCheckpointSums:
         return sums, result
 
     def test_unbounded_tail_below_explosion_sums_once(self):
-        # the ratio-one family: tail bound +inf and log_partial about 10 < 500
-        family = geometric_payoff_family(2.0)
+        # a custom ratio-one family, which the plan does not take: tail bound
+        # +inf and log_partial about 10 < 500
+        family = CountableFamily(
+            lambda n: (n + 1) * math.log(0.5), lambda n: n * math.log(2.0), lambda n: math.inf
+        )
         sums, (_, cert) = self.summed_at(family, eps_tail=EPS, max_doublings=6)
         assert sums == [16 << 6]
         assert cert.status is CertificateStatus.INCONCLUSIVE
@@ -570,8 +733,8 @@ BENCH_FAMILIES = {
         """{
   "eps_tail": 9.9999999999999998e-13,
   "family": "geometric(q=0.5) with linear payoff",
-  "log_normalizer": 13.862944088010979,
-  "log_partial": 13.862944088010979,
+  "log_normalizer": 13.862944088011634,
+  "log_partial": 13.862944088011634,
   "status": "inconclusive",
   "tail_bound": "inf",
   "terms": 2097152
@@ -624,3 +787,7 @@ class TestBenchFamilies:
             # 'diverged' certificate would be unsound
             assert json.loads(doc)["payoff"]["slope"] == math.log(2.0)
             assert json.loads(report)["status"] != CertificateStatus.DIVERGED.value
+            # no checkpoint can decide the run, so its log partial sum is the
+            # exact sum of the 2^21 + 1 terms, 13.862944088011633736... at 60
+            # digits, rounded once
+            assert json.loads(report)["log_partial"] == float("13.862944088011633736")
