@@ -11,18 +11,18 @@ runs out. All accumulation happens in log space, so large payoffs cannot
 overflow the partial sums.
 
 The built-in geometric families keep their exact parameters q, slope and
-intercept. Before scanning one of them, a plan bounds every checkpoint's
-partial sum from the two end terms alone; when no checkpoint can then reach
-a certificate or divergence, the run is reported 'inconclusive' at its last
-checkpoint without building a term, and its log partial sum is the exact
-sum of the family's series, evaluated in `decimal` and rounded once. The
-exact sign of slope + ln q also decides whether the series may diverge at
-all. Every other run is scanned. The built-in families build their terms a
-chunk at a time with C-level arithmetic over whole lists, bit for bit what
-their per-n callables compute; other families are called once per n. A
-checkpoint's partial sum is taken only where an upper bound on it cannot
-rule out both a certificate and divergence, and always at the last
-checkpoint.
+intercept, and the exact sign of slope + ln q decides whether the series
+may diverge: below zero it cannot, and above zero no finite tail bound is
+taken as proof of convergence. When the series converges but no partial
+sum, however large, could reach a certificate at any checkpoint (the tail
+bound reads +inf throughout), the run is reported 'inconclusive' at its
+last checkpoint without building a term, and its log partial sum is the
+exact sum of the family's series, evaluated in `decimal` and rounded once.
+Every other run is scanned. The built-in families build their terms a chunk at a time
+with C-level arithmetic over whole lists, bit for bit what their per-n
+callables compute; other families are called once per n. A checkpoint's
+partial sum is taken only where an upper bound on it cannot rule out both
+a certificate and divergence, and always at the last checkpoint.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class CountableFamily:
     evaluated. The built-in geometric families are the exception: their
     callables are affine in n and the solver computes their values over a
     whole chunk itself, calling neither per n unless the chunk's terms sum
-    to NaN or +inf; before a scan it evaluates them at n = 0 and at each
-    checkpoint.
+    to NaN or +inf; before a scan, tail_bound may be called once more at
+    each checkpoint up to the first one that could decide the run.
     """
 
     log_prior_mass: Callable[[int], float]
@@ -97,7 +97,7 @@ class CountableFamily:
         The tilted tail is then bounded by T(N) exp(B(N)). Only usable when
         the payoff is bounded above on tails; for growing payoffs supply a
         direct tilted-tail bound instead. A finite bound above the double
-        range reads +inf but keeps its logarithm, which rules out divergence.
+        range reads +inf, but is marked as finite, which rules out divergence.
         """
 
         def tail(n: int) -> float:
@@ -112,7 +112,7 @@ class CountableFamily:
             except OverflowError:  # exp(s) alone overflows; the product may not
                 bound = _safe_exp(math.log(t) + s)
             if bound == math.inf and t < math.inf and s < math.inf:
-                return _Overflowed(math.log(t) + s)
+                return _Overflowed(math.inf)
             return bound
 
         return cls(log_prior_mass=log_prior_mass, payoff=payoff, tail_bound=tail, describe=describe)
@@ -221,15 +221,8 @@ class _GeometricPrior(_Affine):
 
 
 class _Overflowed(float):
-    """A finite tail bound above the double range: +inf as a float, which
-    certifies nothing, with the bound's natural log in `log`."""
-
-    __slots__ = ("log",)
-
-    def __new__(cls, log: float) -> "_Overflowed":
-        self = super().__new__(cls, math.inf)
-        self.log = log
-        return self
+    """A finite tail bound above the double range: it reads +inf, which
+    certifies nothing, but still proves the series finite."""
 
 
 @dataclass(frozen=True)
@@ -325,7 +318,7 @@ def _term_chunk(family: CountableFamily, lo: int, hi: int) -> list[float]:
 
 def _checked_bound(family: CountableFamily, n: int, prev: float) -> tuple[float, bool]:
     """tail_bound(n) as a float, checked against the contract, and whether it
-    proves the series finite: it is finite, or its logarithm is."""
+    proves the series finite: it is finite, or finite above the double range."""
     raw = family.tail_bound(n)
     bound = float(raw)
     if math.isnan(bound) or bound < 0:
@@ -334,7 +327,7 @@ def _checked_bound(family: CountableFamily, n: int, prev: float) -> tuple[float,
         raise InvalidBounds(
             f"tail bound increased along the schedule: {prev!r} -> {bound!r} at N={n}"
         )
-    return bound, bound < math.inf or getattr(raw, "log", math.inf) < math.inf
+    return bound, bound < math.inf or isinstance(raw, _Overflowed)
 
 
 def _upper(top: float, n: int) -> float:
@@ -404,54 +397,33 @@ def _exact_log_partial(q: float, slope: float, intercept: float, n: int, prec: i
         value, prec = float(exact), 2 * prec
 
 
-def _max_term_bound(prior: _Affine, payoff: _Affine, n: int) -> float:
-    """An upper bound on the log-terms the scan computes for 0 <= m <= n < 2^53.
-
-    The scan's log-term at m is fl(fl(h + fl(m g)) + fl(c + fl(m s))) for the
-    prior's offset h and step g and the payoff's c and s. Its exact value is
-    affine in m, so it peaks at an end, and each rounding moves it by at most
-    2^-53 of the magnitudes summed: the largest term is below the larger
-    computed end term plus twice 3 * 2^-53 (|h| + |c| + n(|g| + |s|)). The
-    slack of 2^-48 times that sum, plus 2^-1000 for subnormal results, covers
-    this four times over, with the rounding of the slack's own arithmetic.
-    """
-    magnitude = abs(prior.offset) + abs(payoff.offset) + n * (abs(prior.step) + abs(payoff.step))
-    ends = max(prior(0) + payoff(0), prior(n) + payoff(n))
-    return ends + (2.0**-48 * magnitude + 2.0**-1000)
-
-
 def _plan(
     family: CountableFamily,
     log_eps: float,
     start: int,
     max_doublings: int,
     explosion_log: float,
-    may_diverge: bool,
     prec: int,
 ) -> _TruncationRun | None:
-    """The scan's run for a built-in geometric family when no checkpoint can
-    decide it, found without building a term; None when the family must be
-    scanned.
+    """The scan's run for a built-in geometric family whose exact ratio
+    q e^slope is below one, when no partial sum could decide any checkpoint;
+    None when the family must be scanned.
 
-    _max_term_bound is at least the scan's largest log-term, so by _reached's
-    monotonicity a checkpoint the plan cannot decide, the scan cannot either:
-    it sums only the last checkpoint, and reports it 'inconclusive'.
+    By _reached's monotonicity, a checkpoint that stays undecided at an
+    infinite log partial sum stays undecided at the scan's: the scan would
+    sum only the last checkpoint and report it 'inconclusive'. With
+    slope < -ln q < 745, every log-term up to any N a scan can reach is
+    finite or -inf, so the scan raises no error either.
     """
-    prior, payoff = family.log_prior_mass, family.payoff
-    n_last = start << max_doublings
-    # n < 2**53 converts to float exactly; a +inf payoff is the scan's error to raise
-    if n_last >= 2**53 or not (math.isfinite(payoff(0)) and math.isfinite(payoff(n_last))):
-        return None
     bound = math.inf
     for k in range(max_doublings + 1):
-        n_stop = start << k
-        bound, bounded = _checked_bound(family, n_stop, bound)
-        top = _max_term_bound(prior, payoff, n_stop)
-        reached = _reached(
-            bound, _upper(top, n_stop), log_eps, explosion_log, may_diverge and not bounded
-        )
+        bound, _ = _checked_bound(family, start << k, bound)
+        # the series converges, so it cannot diverge
+        reached = _reached(bound, math.inf, log_eps, explosion_log, False)
         if reached is not CertificateStatus.INCONCLUSIVE:
             return None
+    n_last = start << max_doublings
+    prior, payoff = family.log_prior_mass, family.payoff
     log_partial = _exact_log_partial(prior.q, payoff.step, payoff.offset, n_last, prec)
     return _TruncationRun(CertificateStatus.INCONCLUSIVE, n_last, log_partial, bound, [])
 
@@ -468,18 +440,17 @@ def _truncate(
     if start < 1 or max_doublings < 0:
         raise ValidationError("truncation schedule must have start >= 1, doublings >= 0")
     log_eps = math.log(eps_tail)
-    may_diverge = True
+    sign = 0  # the exact sign of slope + ln q, 0 where the family hides it
     prior, payoff = family.log_prior_mass, family.payoff
     if isinstance(prior, _GeometricPrior) and isinstance(payoff, _Affine):
         sign, prec = _log_ratio_sign(prior.q, payoff.step)
-        # a ratio q e^slope below one converges, whatever its float rounds to
-        may_diverge = sign > 0
-        run = _plan(family, log_eps, start, max_doublings, explosion_log, may_diverge, prec)
-        if run is not None:
-            return run
+        if sign < 0:
+            run = _plan(family, log_eps, start, max_doublings, explosion_log, prec)
+            if run is not None:
+                return run
     log_terms: list[float] = []
     top = -math.inf  # running max of log_terms
-    bound = math.inf
+    raw_bound = math.inf
     prev_checkpoint_term: float | None = None
     for k in range(max_doublings + 1):
         n_stop = start << k
@@ -489,9 +460,12 @@ def _truncate(
             log_terms += chunk
         # a finite lp + payoff overflowed to +inf exactly when the max did
         require_log_terms((top,))
-        bound, bounded = _checked_bound(family, n_stop, bound)
-        # a bound that proves Z finite rules out divergence
-        unbounded = may_diverge and not bounded
+        raw_bound, bounded = _checked_bound(family, n_stop, raw_bound)
+        # a ratio q e^slope above one diverges, so a finite bound only shows
+        # that its float rounded below one; one below one cannot diverge, and
+        # neither can a series a bound proves finite
+        bound = math.inf if sign > 0 else raw_bound
+        unbounded = sign > 0 or (sign == 0 and not bounded)
         last = k == max_doublings
         last_term = log_terms[n_stop]
         reachable = _reached(bound, _upper(top, n_stop), log_eps, explosion_log, unbounded)
