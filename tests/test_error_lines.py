@@ -1,0 +1,177 @@
+"""Error lines for binding faults, pinned byte for byte.
+
+Each case writes one faulty input next to the bundled f3 joint (X, Y, Z over
+"0"/"1"), runs it through main() in process and pins the exit code and the
+exact stderr line; stdout stays empty. The bindings a message names (such as
+X=0,Y=0,Z=0) are part of the pin, so a reader that renders a raw dict or
+reorders its checks fails here.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from softtilt import fixture_path
+from softtilt.cli import main
+
+F3 = str(fixture_path("f3.json"))
+BITS = ("0", "1")
+
+
+def joint_doc() -> dict:
+    with open(F3, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def entries_doc(value_key: str) -> dict:
+    """A complete x_given_yz reward (value_key "r") or interaction ("i") document."""
+    entries = []
+    for y in BITS:
+        for z in BITS:
+            for x in BITS:
+                entry = {"context": {"Y": y, "Z": z}, "outcome": {"X": x}, value_key: 0.0}
+                if value_key == "r":
+                    entry["V"] = 0.0
+                entries.append(entry)
+    return {"direction": "x_given_yz", "alpha": 1.0, "entries": entries}
+
+
+def with_mass(*cells) -> dict:
+    doc = joint_doc()
+    doc["mass"] = doc["mass"][: 8 - len(cells)] + list(cells)
+    return doc
+
+
+def with_entry(value_key: str, **fields) -> dict:
+    """The document with its first entry's fields replaced."""
+    doc = entries_doc(value_key)
+    doc["entries"][0] = {**doc["entries"][0], **fields}
+    return doc
+
+
+def with_extra_entry(value_key: str, entry) -> dict:
+    doc = entries_doc(value_key)
+    doc["entries"].append(entry)
+    return doc
+
+
+# (label, kind, document, exit code, stderr); kind names the file the
+# document is passed as
+JOINT_CASES = [
+    ("joint-empty-assign", with_mass({"assign": {}, "p": 0.2}), 2,
+     "error: 'assign' must be a nonempty object\n"),
+    ("joint-assign-not-object", with_mass({"assign": ["X", "0"], "p": 0.2}), 2,
+     "error: 'assign' must be a nonempty object\n"),
+    ("joint-unknown-variable", with_mass({"assign": {"W": "0", "Y": "1", "Z": "1"}, "p": 0.2}), 2,
+     "error: unknown variable 'W'\n"),
+    ("joint-unknown-label", with_mass({"assign": {"X": "7", "Y": "1", "Z": "1"}, "p": 0.2}), 2,
+     "error: label '7' is not in the alphabet of 'X'\n"),
+    ("joint-non-string-label", with_mass({"assign": {"X": 1, "Y": "1", "Z": "1"}, "p": 0.2}), 2,
+     "error: 'assign' must map strings to strings\n"),
+    ("joint-list-label", with_mass({"assign": {"X": ["1"], "Y": "1", "Z": "1"}, "p": 0.2}), 2,
+     "error: 'assign' must map strings to strings\n"),
+    ("joint-missing-variable", with_mass({"assign": {"X": "1", "Z": "1"}, "p": 0.2}), 2,
+     "error: assignment X=1,Z=1 does not bind 'Y'\n"),
+    ("joint-extra-variable",
+     with_mass({"assign": {"X": "1", "Y": "1", "Z": "1", "W": "0"}, "p": 0.2}), 2,
+     "error: unknown variable 'W'\n"),
+    ("joint-duplicate-cell", with_mass({"assign": {"Z": "0", "Y": "0", "X": "0"}, "p": 0.2}), 2,
+     "error: duplicate assignment X=0,Y=0,Z=0\n"),
+    ("joint-negative-mass", with_mass({"assign": {"Z": "1", "Y": "1", "X": "1"}, "p": -0.2}), 2,
+     "error: negative mass -0.2 at X=1,Y=1,Z=1\n"),
+    ("joint-bad-p-after-bad-label",
+     with_mass({"assign": {"X": "7", "Y": "1", "Z": "0"}, "p": 0.05},
+               {"assign": {"X": "1", "Y": "1", "Z": "1"}, "p": "x"}), 2,
+     "error: 'p' at X=1,Y=1,Z=1 must be a finite number\n"),
+    ("joint-bad-total", with_mass({"assign": {"Y": "1", "X": "1", "Z": "1"}, "p": 0.3}), 2,
+     "error: masses sum to 1.1, off 1 by more than 1e-09\n"),
+]
+
+ENTRY_CASES = [
+    ("entry-not-object", lambda k: with_extra_entry(k, ["Y", "0"]), 2,
+     "error: each entry must be an object\n"),
+    ("entry-context-not-object", lambda k: with_entry(k, context="Y=0,Z=0"), 2,
+     "error: 'context' must be a nonempty object\n"),
+    ("entry-context-wrong-group", lambda k: with_entry(k, context={"Y": "0"}), 2,
+     "error: 'context' must bind exactly ['Y', 'Z'], got Y=0\n"),
+    ("entry-context-extra-variable",
+     lambda k: with_entry(k, context={"Z": "0", "Y": "0", "X": "0"}), 2,
+     "error: 'context' must bind exactly ['Y', 'Z'], got X=0,Y=0,Z=0\n"),
+    ("entry-context-unknown-label", lambda k: with_entry(k, context={"Y": "0", "Z": "2"}), 2,
+     "error: 'context': label '2' is not in the alphabet of 'Z'\n"),
+    ("entry-outcome-wrong-group", lambda k: with_entry(k, outcome={"Z": "0"}), 2,
+     "error: 'outcome' must bind exactly ['X'], got Z=0\n"),
+    ("entry-outcome-unknown-label", lambda k: with_entry(k, outcome={"X": "9"}), 2,
+     "error: 'outcome': label '9' is not in the alphabet of 'X'\n"),
+    ("entry-outcome-unknown-variable", lambda k: with_entry(k, outcome={"Q": "0"}), 2,
+     "error: 'outcome': unknown variable 'Q'\n"),
+    ("entry-outcome-list-label", lambda k: with_entry(k, outcome={"X": ["0"]}), 2,
+     "error: 'outcome' must map strings to strings\n"),
+    ("entry-outcome-binding-before-context-label",
+     lambda k: with_entry(k, context={"Y": "0", "Z": "2"}, outcome=[]), 2,
+     "error: 'outcome' must be a nonempty object\n"),
+    ("entry-duplicate",
+     lambda k: with_extra_entry(k, {**entries_doc(k)["entries"][5],
+                                    "context": {"Z": "0", "Y": "1"}}), 2,
+     "error: duplicate entry at Y=1,Z=0/X=1\n"),
+]
+
+EVENT_CASES = [
+    ("values-unknown-label", "--values",
+     {"entries": [{"event": {"X": "0", "Y": "5"}, "v": 1.0}]}, 2,
+     "error: 'event': label '5' is not in the alphabet of 'Y'\n"),
+    ("values-unknown-variable", "--values",
+     {"entries": [{"event": {"W": "0"}, "v": 1.0}]}, 2,
+     "error: 'event': unknown variable 'W'\n"),
+    ("values-duplicate-event", "--values",
+     {"entries": [{"event": {"Y": "0", "X": "1"}, "v": 1.0},
+                  {"event": {"X": "1", "Y": "0"}, "v": 2.0}]}, 2,
+     "error: duplicate event X=1,Y=0\n"),
+    ("values-bad-v", "--values",
+     {"entries": [{"event": {"Z": "1", "X": "1"}, "v": "x"}]}, 2,
+     "error: 'v' at X=1,Z=1 must be a finite number\n"),
+    ("baseline-unknown-label", "--baseline-file",
+     {"entries": [{"context": {"Y": "0", "Z": "3"}, "c": 1.0}]}, 2,
+     "error: 'context': label '3' is not in the alphabet of 'Z'\n"),
+    ("baseline-duplicate-context", "--baseline-file",
+     {"entries": [{"context": {"Z": "1", "Y": "0"}, "c": 1.0},
+                  {"context": {"Y": "0", "Z": "1"}, "c": 2.0}]}, 2,
+     "error: duplicate context Y=0,Z=1\n"),
+]
+
+
+def run(capsys, argv) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def write(path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("label, doc, code, err", JOINT_CASES, ids=[c[0] for c in JOINT_CASES])
+def test_joint_binding_faults(capsys, tmp_path, label, doc, code, err):
+    assert run(capsys, ["solve", write(tmp_path / "joint.json", doc)]) == (code, "", err)
+
+
+@pytest.mark.parametrize("command, option, value_key", [
+    ("solve", "--rewards", "r"),
+    ("construct", "--interaction", "i"),
+])
+@pytest.mark.parametrize("label, make, code, err", ENTRY_CASES, ids=[c[0] for c in ENTRY_CASES])
+def test_entry_binding_faults(capsys, tmp_path, command, option, value_key, label, make, code, err):
+    path = write(tmp_path / "entries.json", make(value_key))
+    assert run(capsys, [command, F3, option, path]) == (code, "", err)
+
+
+@pytest.mark.parametrize("label, option, doc, code, err", EVENT_CASES,
+                         ids=[c[0] for c in EVENT_CASES])
+def test_event_binding_faults(capsys, tmp_path, label, option, doc, code, err):
+    argv = ["identify", F3, option, write(tmp_path / "events.json", doc),
+            "--out", str(tmp_path / "out")]
+    assert run(capsys, argv) == (code, "", err)
+    assert list(tmp_path.glob("out.*")) == []
