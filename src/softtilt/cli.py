@@ -570,8 +570,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # built on the first call, not at import, and reused by every later call
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

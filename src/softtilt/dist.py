@@ -163,7 +163,9 @@ class JointTable:
         self._index = {s.name: v for v, s in enumerate(specs)}
         if len(self._index) != len(specs):
             raise ValidationError("variable names must be distinct")
-        self._digits = tuple({label: d for d, label in enumerate(s.alphabet)} for s in specs)
+        # per name, each label's (variable index, digit)
+        self._labels = {s.name: {label: (v, d) for d, label in enumerate(s.alphabet)}
+                        for v, s in enumerate(specs)}
         self._sizes = tuple(len(s.alphabet) for s in specs)
         self._all = tuple(range(len(specs)))
         tol = self._tol_norm = float(tol_norm)
@@ -171,17 +173,19 @@ class JointTable:
         self._derived: dict[tuple, object] = {}
         ratios: dict[int, tuple[int, int]] = {}
         for key, value in mass.items() if isinstance(mass, Mapping) else mass:
-            cell = as_assignment(key)
-            i = self._locate(cell, full=True)[1]
+            hit = self._index_of(key)
+            if hit is None or len(hit[0]) != len(specs):
+                hit = self._locate(as_assignment(key), full=True)
+            i = hit[1]
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"mass must be finite, got {value!r}")
             if not isinstance(value, (float, Rational)):
                 raise ValidationError(f"mass must be a real number, got {value!r}")
             num, den = (value if isinstance(value, float) else Fraction(value)).as_integer_ratio()
             if num < 0:
-                raise ValidationError(f"negative mass {value!r} at {cell}")
+                raise ValidationError(f"negative mass {value!r} at {as_assignment(key)}")
             if i in ratios:
-                raise ValidationError(f"duplicate assignment {cell}")
+                raise ValidationError(f"duplicate assignment {as_assignment(key)}")
             ratios[i] = (num, den)
         self._den = den = math.lcm(*(d for _, d in ratios.values()))
         self._cells = [0] * math.prod(self._sizes)
@@ -198,18 +202,33 @@ class JointTable:
         index in the grid over them; full=True requires every variable bound."""
         digits = []
         for name, label in event.items_sorted:
-            v = self._index.get(name)
-            if v is None or label not in self._digits[v]:
+            labels = self._labels.get(name)
+            if labels is None or label not in labels:
                 self.variable(name)  # raises for an unknown variable
                 raise ValidationError(f"label {label!r} is not in the alphabet of {name!r}")
-            digits.append((v, self._digits[v][label]))
+            digits.append(labels[label])
+        if full and len(digits) != len(self._all):
+            missing = next(s.name for s in self._variables if s.name not in set(event))
+            raise ValidationError(f"assignment {event} does not bind {missing!r}")
+        return self._fold(digits)
+
+    def _index_of(self, binding) -> tuple[tuple[int, ...], int] | None:
+        """`_locate` for a plain dict binding, one lookup per variable and no
+        `Assignment`; None on any miss (not a nonempty dict, an unknown name or
+        label, an unhashable label), which callers resolve by `_locate`."""
+        if type(binding) is not dict or not binding:
+            return None
+        try:
+            return self._fold([self._labels[name][label] for name, label in binding.items()])
+        except (KeyError, TypeError):
+            return None
+
+    def _fold(self, digits: list[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+        """The sorted variable indices of (variable, digit) pairs and their flat index."""
         digits.sort()
         i = 0
         for v, d in digits:
             i = i * self._sizes[v] + d
-        if full and len(digits) != len(self._all):
-            missing = next(s.name for s in self._variables if s.name not in set(event))
-            raise ValidationError(f"assignment {event} does not bind {missing!r}")
         return tuple(v for v, _ in digits), i
 
     def _group(self, names: Iterable[str]) -> tuple[int, ...]:

@@ -5,6 +5,11 @@ lists in canonical (lexicographic assignment) order, numbers at 17
 significant digits, nonfinite floats as quoted strings ("-inf" is the
 interaction sentinel). Same inputs and flags therefore produce
 byte-identical bytes.
+
+Readers resolve a binding (`assign`, `context`, `outcome`, `event`) that is a
+plain dict of known names and labels by one lookup per variable. Any other
+binding takes the validating path, `_binding` then `_locate`, whose error texts
+and exit codes are the contract; duplicate, mass and total checks run on both.
 """
 
 from __future__ import annotations
@@ -73,6 +78,15 @@ def _locate(joint: JointTable, binding: dict[str, str], what: str) -> tuple[tupl
         return joint._locate(Assignment._of(tuple(sorted(binding.items()))))
     except ValidationError as exc:
         raise SchemaError(f"{what}: {exc}") from None
+
+
+def _event(joint: JointTable | None, obj, what: str) -> Assignment:
+    """A binding as an `Assignment`, checked against the joint when one is given."""
+    if joint is None or joint._index_of(obj) is None:
+        _binding(obj, what)
+        if joint is not None:
+            _locate(joint, obj, what)
+    return Assignment._of(tuple(sorted(obj.items())))
 
 
 def joint_from_doc(doc) -> JointTable:
@@ -240,10 +254,13 @@ def _entries(doc: dict, joint: JointTable, direction: Direction):
     seen: set[tuple[int, int]] = set()
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
-        ctx = _binding(item.get("context"), "'context'")
-        outcome = _binding(item.get("outcome"), "'outcome'")
-        c_group, ci = _locate(joint, ctx, "'context'")
-        o_group, ti = _locate(joint, outcome, "'outcome'")
+        ctx, outcome = item.get("context"), item.get("outcome")
+        c_hit, o_hit = joint._index_of(ctx), joint._index_of(outcome)
+        if c_hit is None or o_hit is None:
+            _binding(ctx, "'context'")
+            _binding(outcome, "'outcome'")
+            c_hit, o_hit = _locate(joint, ctx, "'context'"), _locate(joint, outcome, "'outcome'")
+        (c_group, ci), (o_group, ti) = c_hit, o_hit
         _require(c_group == s.cond, lambda: (
             f"'context' must bind exactly {sorted(direction.conditioning)!r}, got {Assignment(ctx)}"
         ))
@@ -371,13 +388,10 @@ def values_from_doc(doc, joint: JointTable | None = None) -> EventValueFunction:
     seen: set[Assignment] = set()
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
-        binding = _binding(item.get("event"), "'event'")
-        if joint is not None:
-            _locate(joint, binding, "'event'")
-        event = Assignment(binding)
-        _require(event not in seen, f"duplicate event {event}")
+        event = _event(joint, item.get("event"), "'event'")
+        _require(event not in seen, lambda: f"duplicate event {event}")
         seen.add(event)
-        v = _number(item.get("v"), f"'v' at {event} must be a finite number")
+        v = _number(item.get("v"), lambda: f"'v' at {event} must be a finite number")
         pairs.append((event, v))
     default = doc.get("default")
     if default is not None:
@@ -404,12 +418,9 @@ def baseline_from_doc(doc, joint: JointTable | None = None) -> GaugeShift:
     entries: dict[Assignment, float] = {}
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
-        binding = _binding(item.get("context"), "'context'")
-        if joint is not None:
-            _locate(joint, binding, "'context'")
-        ctx = Assignment(binding)
-        _require(ctx not in entries, f"duplicate context {ctx}")
-        entries[ctx] = _number(item.get("c"), f"'c' at {ctx} must be a finite number")
+        ctx = _event(joint, item.get("context"), "'context'")
+        _require(ctx not in entries, lambda: f"duplicate context {ctx}")
+        entries[ctx] = _number(item.get("c"), lambda: f"'c' at {ctx} must be a finite number")
     default = doc.get("default")
     if default is not None:
         default = _number(default, "'default' must be a finite number")

@@ -87,7 +87,9 @@ def dirichlet_probs(rng: random.Random, k: int, allow_zero: bool = False) -> tup
         raw[0] = 1.0
         total = 1.0
     probs = [w / total for w in raw]
-    probs[-1] = 1.0 - sum(probs[:-1])
+    # the rest of 1; it rounds below 0 when the last draw is zero or tiny, and
+    # 0 there leaves the sum a few ulps above 1, well within DistVector's tolerance
+    probs[-1] = max(0.0, 1.0 - sum(probs[:-1]))
     return tuple(probs)
 
 

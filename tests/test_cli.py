@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import softtilt
 from softtilt import fixture_path, joint_f3, pmi
 from softtilt.cli import main
 from softtilt.io import dumps_report, joint_to_doc
 from helpers import overflow_joint, sparse_joint
+from test_golden import GOLDEN
 
 F1 = str(fixture_path("f1.json"))
 F3 = str(fixture_path("f3.json"))
@@ -445,3 +451,72 @@ class TestWriteFailures:
         self.assert_one_error_line(*run(capsys, ["identify", F3, "--out", str(prefix)]))
         assert [p.name for p in tmp_path.iterdir()] == ["run.rewards.json"]
         assert not any((tmp_path / "run.rewards.json").iterdir())
+
+
+class TestParserReuse:
+    """main() builds its parser on the first call and reuses it; nothing of
+    one call's flags, errors or terminal width carries into the next."""
+
+    def test_flags_do_not_carry_over(self, capsys, tmp_path):
+        sparse = write_json(tmp_path / "sparse.json", joint_to_doc(sparse_joint()))
+        prefix = tmp_path / "sp"
+        assert main(["identify", sparse, "--out", str(prefix)]) == 0
+        argv = ["solve", sparse, "--rewards", f"{prefix}.rewards.json"]
+        doc = run_json(capsys, argv + ["--fill-zero", "--skip-zero-mass"])
+        assert len(doc["entries"]) == 3
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: missing entry for outcome") and err.count("\n") == 1
+
+    def test_valid_call_after_usage_error_matches_golden(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", F1, "--no-such-flag"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: softtilt")
+        assert "error: unrecognized arguments: --no-such-flag" in captured.err
+        code, out, err = run(capsys, ["solve", F1, "--skip-zero-mass"])
+        digest = hashlib.sha256(f"{code}\n".encode() + out.encode()).hexdigest()
+        assert (digest, err) == (GOLDEN["f1/solve-zero"], "")
+
+    def test_help_follows_columns_set_after_first_call(self, capsys, monkeypatch):
+        run(capsys, ["solve", F1])
+
+        def help_lines(columns):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out.splitlines()
+
+        # argparse wraps at COLUMNS - 2, except for usage parts it cannot split
+        wide, narrow = help_lines(200), help_lines(50)
+        assert max(map(len, wide)) > 60
+        assert len(narrow) > len(wide)
+        assert help_lines(200) == wide
+
+    def test_built_once_and_not_at_import(self):
+        # a fresh interpreter counts ArgumentParser constructions: none at
+        # import, one tree (the parser and its five subparsers) on the first
+        # call, none on later calls
+        src = Path(softtilt.__file__).resolve().parents[1]
+        code = f"""
+import argparse, contextlib, io, sys
+sys.path.insert(0, {str(src)!r})
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import softtilt.cli
+counts = [len(built)]
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert softtilt.cli.main(["solve", {F1!r}]) == 0
+    counts.append(len(built))
+print(counts)
+"""
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "[0, 6, 6, 6]\n"
