@@ -6,10 +6,12 @@ significant digits, nonfinite floats as quoted strings ("-inf" is the
 interaction sentinel). Same inputs and flags therefore produce
 byte-identical bytes.
 
-Readers resolve a binding (`assign`, `context`, `outcome`, `event`) that is a
-plain dict of known names and labels by one lookup per variable. Any other
-binding takes the validating path, `_binding` then `_locate`, whose error texts
-and exit codes are the contract; duplicate, mass and total checks run on both.
+The joint, reward and interaction readers resolve a binding (`assign`,
+`context`, `outcome`) that is a plain dict of known names and labels by one
+lookup per variable. Any other binding, and every binding of a values or
+baseline file, takes the validating path, `_binding` then `_locate`, whose
+error texts and exit codes are the contract; duplicate, mass and total checks
+run on both.
 """
 
 from __future__ import annotations
@@ -82,10 +84,9 @@ def _locate(joint: JointTable, binding: dict[str, str], what: str) -> tuple[tupl
 
 def _event(joint: JointTable | None, obj, what: str) -> Assignment:
     """A binding as an `Assignment`, checked against the joint when one is given."""
-    if joint is None or joint._index_of(obj) is None:
-        _binding(obj, what)
-        if joint is not None:
-            _locate(joint, obj, what)
+    _binding(obj, what)
+    if joint is not None:
+        _locate(joint, obj, what)
     return Assignment._of(tuple(sorted(obj.items())))
 
 
