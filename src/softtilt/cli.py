@@ -20,7 +20,6 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .coherence import DirectionPair, EventValueFunction, build_problem, order_independence_check
@@ -35,6 +34,8 @@ from .errors import (
     ZeroMassContext,
 )
 from .identify import (
+    ADMIT_TOL,
+    IDENTITY_TOL,
     Direction,
     RewardTable,
     _posterior_and_residual,
@@ -62,8 +63,6 @@ from .io import (
 )
 from .tilt import SolverConfig, _decomposition_residual, solve_tilt
 
-IDENTITY_TOL = 1e-10
-EXTERNAL_ADMIT_TOL = 1e-8
 CHECK_NAMES = ("gauge", "admissibility", "commute", "decomposition")
 
 
@@ -219,39 +218,31 @@ def cmd_identify(args) -> int:
 
 # ------------------------------------------------------------------ check
 
-@dataclass
-class CheckReport:
-    """Outcome of one named check at one tolerance."""
-
-    check: str
-    tolerance: float
-    max_residual: float
-    passed: bool
-    residuals: list[tuple[Assignment, float]]
-    skipped: list[tuple[Assignment, str]] = field(default_factory=list)
-    details: dict | None = None
-
-    def to_doc(self) -> dict:
-        doc = {
-            "check": self.check,
-            "tolerance": self.tolerance,
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-            "residuals": [
-                {"at": _obj(cell), "residual": value}
-                for cell, value in sorted(self.residuals, key=lambda t: t[0].items_sorted)
-            ],
-            "skipped": [
-                {"at": _obj(cell), "reason": reason}
-                for cell, reason in sorted(self.skipped, key=lambda t: t[0].items_sorted)
-            ],
-        }
-        if self.details is not None:
-            doc["details"] = self.details
-        return doc
+def _check_doc(check, tolerance, residuals, skipped=(), details=None, max_residual=None) -> dict:
+    """One check's report; residuals maps cell to residual, max_residual defaults
+    to their largest, and cells are listed in canonical order."""
+    if max_residual is None:
+        max_residual = max(residuals.values(), default=0.0)
+    doc = {
+        "check": check,
+        "tolerance": tolerance,
+        "max_residual": max_residual,
+        "passed": max_residual <= tolerance,
+        "residuals": [
+            {"at": _obj(cell), "residual": value}
+            for cell, value in sorted(residuals.items(), key=lambda t: t[0].items_sorted)
+        ],
+        "skipped": [
+            {"at": _obj(cell), "reason": reason}
+            for cell, reason in sorted(skipped, key=lambda t: t[0].items_sorted)
+        ],
+    }
+    if details is not None:
+        doc["details"] = details
+    return doc
 
 
-def _check_gauge(joint: JointTable, loaded: LoadedRewards, tol: float) -> CheckReport:
+def _check_gauge(joint: JointTable, loaded: LoadedRewards, tol: float) -> dict:
     fresh = calibrate_rewards(joint, loaded.direction, loaded.terminals, loaded.alpha)
     cmp = gauge_equivalent(
         (loaded.rewards, loaded.terminals), (fresh.rewards, loaded.terminals), joint, tol=tol
@@ -264,14 +255,8 @@ def _check_gauge(joint: JointTable, loaded: LoadedRewards, tol: float) -> CheckR
         ]
     if cmp.witness is not None:
         details["witness"] = _obj(cmp.witness[0].union(cmp.witness[1]))
-    return CheckReport(
-        check="gauge",
-        tolerance=tol,
-        max_residual=cmp.max_residual,
-        passed=cmp.equivalent,
-        residuals=[(ctx.union(o), v) for (ctx, o), v in cmp.residuals.items()],
-        details=details,
-    )
+    residuals = {ctx.union(o): v for (ctx, o), v in cmp.residuals.items()}
+    return _check_doc("gauge", tol, residuals, details=details, max_residual=cmp.max_residual)
 
 
 def _check_admissibility(
@@ -279,7 +264,7 @@ def _check_admissibility(
     loaded: LoadedRewards,
     interaction_path: str | None,
     tol: float | None,
-) -> CheckReport:
+) -> dict:
     if interaction_path is not None:
         _, table = interaction_from_doc(load_json(interaction_path), joint)
         if table.direction != loaded.direction:
@@ -287,7 +272,7 @@ def _check_admissibility(
                 f"interaction file direction {table.direction.tag!r} does not match "
                 f"the rewards direction {loaded.direction.tag!r}"
             )
-        tolerance = EXTERNAL_ADMIT_TOL if tol is None else tol
+        tolerance = ADMIT_TOL if tol is None else tol
         source = "external file"
     else:
         table = identify_interaction(joint, loaded.direction)
@@ -304,16 +289,7 @@ def _check_admissibility(
         (ctx, "zero conditioning mass") for ctx, positive in _contexts(joint, table.direction)
         if not positive
     ]
-    max_residual = max(residuals.values(), default=0.0)
-    return CheckReport(
-        check="admissibility",
-        tolerance=tolerance,
-        max_residual=max_residual,
-        passed=max_residual <= tolerance,
-        residuals=list(residuals.items()),
-        skipped=skipped,
-        details={"source": source},
-    )
+    return _check_doc("admissibility", tolerance, residuals, skipped, {"source": source})
 
 
 def _merge_terminals(a: EventValueFunction, b: EventValueFunction) -> EventValueFunction:
@@ -334,7 +310,7 @@ def _check_commute(
     loaded: LoadedRewards,
     swapped: LoadedRewards,
     tol: float,
-) -> CheckReport:
+) -> dict:
     if swapped.direction != loaded.direction.swapped():
         raise SchemaError(
             f"--rewards-swapped direction {swapped.direction.tag!r} is not the swap "
@@ -361,20 +337,14 @@ def _check_commute(
         "symmetry_max": max(report.symmetry.values(), default=0.0),
         "commutativity_max": max(report.commutativity.values(), default=0.0),
     }
-    return CheckReport(
-        check="commute",
-        tolerance=tol,
-        max_residual=report.max_residual,
-        passed=report.passed,
-        residuals=list(report.commutativity.items()),
-        skipped=list(report.skipped),
-        details=details,
+    return _check_doc(
+        "commute", tol, report.commutativity, report.skipped, details, report.max_residual
     )
 
 
-def _check_decomposition(joint: JointTable, loaded: LoadedRewards, tol: float) -> CheckReport:
+def _check_decomposition(joint: JointTable, loaded: LoadedRewards, tol: float) -> dict:
     config = SolverConfig(alpha=loaded.alpha)
-    residuals: list[tuple[Assignment, float]] = []
+    residuals: dict[Assignment, float] = {}
     skipped: list[tuple[Assignment, str]] = []
     for ctx, positive in _contexts(joint, loaded.direction):
         if not positive:
@@ -387,17 +357,8 @@ def _check_decomposition(joint: JointTable, loaded: LoadedRewards, tol: float) -
             if p > 0:
                 point = tuple(1.0 if j == i else 0.0 for j in range(len(problem.prior.probs)))
                 probes.append(DistVector(problem.prior.over, point))
-        worst = max(_decomposition_residual(problem, solution, probe) for probe in probes)
-        residuals.append((ctx, worst))
-    max_residual = max((v for _, v in residuals), default=0.0)
-    return CheckReport(
-        check="decomposition",
-        tolerance=tol,
-        max_residual=max_residual,
-        passed=max_residual <= tol,
-        residuals=residuals,
-        skipped=skipped,
-    )
+        residuals[ctx] = max(_decomposition_residual(problem, solution, probe) for probe in probes)
+    return _check_doc("decomposition", tol, residuals, skipped)
 
 
 def cmd_check(args) -> int:
@@ -422,7 +383,7 @@ def cmd_check(args) -> int:
         names = [n for n in CHECK_NAMES if n != "commute" or swapped is not None]
 
     identity_tol = args.tol if args.tol is not None else IDENTITY_TOL
-    reports: list[CheckReport] = []
+    reports: list[dict] = []
     for name in names:
         if name == "gauge":
             reports.append(_check_gauge(joint, loaded, identity_tol))
@@ -432,12 +393,12 @@ def cmd_check(args) -> int:
             reports.append(_check_commute(joint, loaded, swapped, identity_tol))
         elif name == "decomposition":
             reports.append(_check_decomposition(joint, loaded, identity_tol))
-    all_passed = all(r.passed for r in reports)
+    all_passed = all(r["passed"] for r in reports)
     doc = direction_fields(loaded.direction)
     doc.update(
         {
             "alpha": loaded.alpha,
-            "checks": [r.to_doc() for r in reports],
+            "checks": reports,
             "all_passed": all_passed,
         }
     )
@@ -452,7 +413,7 @@ def cmd_construct(args) -> int:
     _, table = interaction_from_doc(load_json(args.interaction), joint)
     direction = table.direction
     s = _split(joint, direction)
-    tol_admit = args.tol if args.tol is not None else EXTERNAL_ADMIT_TOL
+    tol_admit = args.tol if args.tol is not None else ADMIT_TOL
     entries = []
     skipped = []
     for ctx in table.contexts():

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     ZeroMassContext,
 )
-from .identify import Direction, RewardTable, _interactions, _split
+from .identify import IDENTITY_TOL, Direction, RewardTable, _interactions, _split
 from .tilt import SoftUpdateProblem, SolverConfig, solve_tilt
 
 
@@ -196,7 +196,6 @@ class OrderIndependenceReport:
     symmetry: dict[Assignment, float]
     commutativity: dict[Assignment, float]
     skipped: tuple[tuple[Assignment, str], ...]
-    tol: float
     max_residual: float
     passed: bool
 
@@ -205,7 +204,7 @@ def order_independence_check(
     pair: DirectionPair,
     rewards_fwd: RewardTable,
     rewards_swp: RewardTable,
-    tol: float = 1e-10,
+    tol: float = IDENTITY_TOL,
 ) -> OrderIndependenceReport:
     """Audit both directions against the shared joint.
 
@@ -271,7 +270,6 @@ def order_independence_check(
         symmetry=symmetry,
         commutativity=commutativity,
         skipped=tuple(sorted(skipped, key=lambda item: item[0].items_sorted)),
-        tol=tol,
         max_residual=max_residual,
         passed=max_residual <= tol,
     )

@@ -325,7 +325,6 @@ class DistVector:
 
     over: tuple[VariableSpec, ...]
     probs: tuple[float, ...]
-    tol_norm: float = DEFAULT_TOL_NORM
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "over", tuple(self.over))
@@ -342,9 +341,9 @@ class DistVector:
             if not math.isfinite(p) or p < 0:
                 raise ValidationError(f"probabilities must be finite and >= 0, got {p!r}")
         total = fsum(self.probs)
-        if abs(total - 1.0) > self.tol_norm:
+        if abs(total - 1.0) > DEFAULT_TOL_NORM:
             raise ValidationError(
-                f"probabilities sum to {total!r}, off 1 by more than {self.tol_norm!r}"
+                f"probabilities sum to {total!r}, off 1 by more than {DEFAULT_TOL_NORM!r}"
             )
 
     def outcomes(self) -> tuple[Assignment, ...]:

@@ -9,6 +9,9 @@ contract, not the call site.
 class SoftTiltError(Exception):
     """Base class for all library errors."""
 
+    # the message as given, also for the KeyError subclasses, whose str() is a repr
+    __str__ = BaseException.__str__
+
 
 class ValidationError(SoftTiltError, ValueError):
     """Inputs violate a structural contract (types, domains, alignment)."""

@@ -34,6 +34,9 @@ from .errors import (
 )
 from .tilt import logsumexp
 
+IDENTITY_TOL = 1e-10  # default tolerance of an exact identity, such as gauge class or commutativity
+ADMIT_TOL = 1e-8  # default admissibility tolerance of an interaction signal
+
 if TYPE_CHECKING:  # terminal values come from coherence; typing-only to avoid a cycle
     from .coherence import EventValueFunction
 
@@ -371,7 +374,7 @@ def gauge_equivalent(
     a: "tuple[RewardTable, EventValueFunction]",
     b: "tuple[RewardTable, EventValueFunction]",
     joint: JointTable,
-    tol: float = 1e-10,
+    tol: float = IDENTITY_TOL,
 ) -> GaugeComparison:
     """Decide whether two reward/terminal pairs lie in the same gauge class.
 
@@ -474,7 +477,7 @@ def check_admissibility(table: InteractionTable, joint: JointTable) -> dict[Assi
 def construct_posterior(
     prior: DistVector,
     signal,
-    tol_admit: float = 1e-8,
+    tol_admit: float = ADMIT_TOL,
 ) -> DistVector:
     """Tilt the prior by an admissible interaction signal; exact renormalization.
 

@@ -425,10 +425,7 @@ def baseline_from_doc(doc, joint: JointTable | None = None) -> GaugeShift:
     default = doc.get("default")
     if default is not None:
         default = _number(default, "'default' must be a finite number")
-    try:
-        return GaugeShift(entries=entries, default=default)
-    except ValidationError as exc:
-        raise SchemaError(str(exc)) from exc
+    return GaugeShift(entries=entries, default=default)
 
 
 # -------------------------------------------------------------- countable

@@ -63,16 +63,13 @@ def logsumexp(values) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Inverse temperature and comparison tolerance for one problem batch."""
+    """Inverse temperature for one problem batch."""
 
     alpha: float
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha) or self.alpha <= 0:
             raise ValidationError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        if not math.isfinite(self.tol) or self.tol <= 0:
-            raise ValidationError(f"tol must be finite and > 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,13 @@ EVENT_CASES = [
      {"entries": [{"context": {"Z": "1", "Y": "0"}, "c": 1.0},
                   {"context": {"Y": "0", "Z": "1"}, "c": 2.0}]}, 2,
      "error: duplicate context Y=0,Z=1\n"),
+    # KeyError subclasses: str() of a KeyError is the repr of its message
+    ("baseline-missing-context", "--baseline-file",
+     {"entries": [{"context": {"Y": "0", "Z": "0"}, "c": 1.0}]}, 1,
+     "error: gauge shift is undefined at context Y=0,Z=1\n"),
+    ("values-missing-event", "--values",
+     {"entries": [{"event": {"X": "0", "Y": "0"}, "v": 1.0}]}, 1,
+     "error: no value for event X=0,Y=0,Z=0 and no default\n"),
 ]
 
 
