@@ -8,7 +8,7 @@ Exit codes:
   0  success; for `check`, all requested checks passed
   1  a requested check failed, a runtime contract was violated, or an
      --out file could not be written
-  2  schema violation (malformed JSON, bad field, bad flag combination)
+  2  invalid input: an unreadable or malformed file, a bad field or flag value
   3  zero-mass conditioning context without --skip-zero-mass
   4  coverage mismatch (a table misses required contexts or cells)
 """
@@ -28,7 +28,6 @@ from .dist import Assignment, DistVector, JointTable
 from .errors import (
     CoverageMismatch,
     OutputError,
-    SchemaError,
     SoftTiltError,
     ValidationError,
     ZeroMassContext,
@@ -124,6 +123,13 @@ def _zero_rewards(joint: JointTable, direction: Direction) -> RewardTable:
     outcomes = _split(joint, direction).outcomes
     entries = {ctx: dict.fromkeys(outcomes, 0.0) for ctx, _ in _contexts(joint, direction)}
     return RewardTable(direction=direction, entries=entries, convention="zero rewards")
+
+
+def _tol(args) -> float | None:
+    """The --tol flag, None when not given; it must be finite and >= 0."""
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise ValidationError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    return args.tol
 
 
 def _require_context_coverage(joint: JointTable, table: RewardTable, label: str) -> None:
@@ -268,7 +274,7 @@ def _check_admissibility(
     if interaction_path is not None:
         _, table = interaction_from_doc(load_json(interaction_path), joint)
         if table.direction != loaded.direction:
-            raise SchemaError(
+            raise ValidationError(
                 f"interaction file direction {table.direction.tag!r} does not match "
                 f"the rewards direction {loaded.direction.tag!r}"
             )
@@ -312,12 +318,12 @@ def _check_commute(
     tol: float,
 ) -> dict:
     if swapped.direction != loaded.direction.swapped():
-        raise SchemaError(
+        raise ValidationError(
             f"--rewards-swapped direction {swapped.direction.tag!r} is not the swap "
             f"of {loaded.direction.tag!r}"
         )
     if swapped.alpha != loaded.alpha:
-        raise SchemaError(
+        raise ValidationError(
             f"alpha disagrees between reward files: {loaded.alpha!r} vs {swapped.alpha!r}"
         )
     _require_context_coverage(joint, swapped.rewards, "--rewards-swapped file")
@@ -362,6 +368,7 @@ def _check_decomposition(joint: JointTable, loaded: LoadedRewards, tol: float) -
 
 
 def cmd_check(args) -> int:
+    tol = _tol(args)
     joint = _load_joint(args.joint)
     loaded = reward_from_doc(load_json(args.rewards), joint, fill_zero=args.fill_zero)
     _require_context_coverage(joint, loaded.rewards, "rewards file")
@@ -374,21 +381,21 @@ def cmd_check(args) -> int:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
         unknown = [n for n in names if n not in CHECK_NAMES]
         if unknown:
-            raise SchemaError(
+            raise ValidationError(
                 f"unknown check {unknown[0]!r}; choose from {', '.join(CHECK_NAMES)}"
             )
         if "commute" in names and swapped is None:
-            raise SchemaError("the commute check needs --rewards-swapped")
+            raise ValidationError("the commute check needs --rewards-swapped")
     else:
         names = [n for n in CHECK_NAMES if n != "commute" or swapped is not None]
 
-    identity_tol = args.tol if args.tol is not None else IDENTITY_TOL
+    identity_tol = tol if tol is not None else IDENTITY_TOL
     reports: list[dict] = []
     for name in names:
         if name == "gauge":
             reports.append(_check_gauge(joint, loaded, identity_tol))
         elif name == "admissibility":
-            reports.append(_check_admissibility(joint, loaded, args.interaction, args.tol))
+            reports.append(_check_admissibility(joint, loaded, args.interaction, tol))
         elif name == "commute":
             reports.append(_check_commute(joint, loaded, swapped, identity_tol))
         elif name == "decomposition":
@@ -409,11 +416,12 @@ def cmd_check(args) -> int:
 # -------------------------------------------------------------- construct
 
 def cmd_construct(args) -> int:
+    tol = _tol(args)
     joint = _load_joint(args.joint)
     _, table = interaction_from_doc(load_json(args.interaction), joint)
     direction = table.direction
     s = _split(joint, direction)
-    tol_admit = args.tol if args.tol is not None else ADMIT_TOL
+    tol_admit = tol if tol is not None else ADMIT_TOL
     entries = []
     skipped = []
     for ctx in table.contexts():
@@ -533,6 +541,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _parser: argparse.ArgumentParser | None = None
 
+# the exit code of each error class that has one; any other SoftTiltError exits 1
+_EXIT_CODES = ((ValidationError, 2), (ZeroMassContext, 3), (CoverageMismatch, 4))
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     # built on the first call, not at import, and reused by every later call
@@ -542,18 +553,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ZeroMassContext as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CoverageMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except SoftTiltError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

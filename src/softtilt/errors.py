@@ -2,7 +2,9 @@
 
 Every error raised by this library derives from SoftTiltError so callers can
 catch one base class. Subclasses are semantic: they name the violated
-contract, not the call site.
+contract, not the call site. SchemaError is an alias of ValidationError: a
+fault in any input, whether a JSON field, a flag value or a library argument,
+is one class.
 """
 
 
@@ -17,8 +19,7 @@ class ValidationError(SoftTiltError, ValueError):
     """Inputs violate a structural contract (types, domains, alignment)."""
 
 
-class SchemaError(SoftTiltError, ValueError):
-    """A JSON document does not match its expected schema."""
+SchemaError = ValidationError
 
 
 class ZeroMassContext(SoftTiltError):

@@ -36,15 +36,16 @@ JOINT_SUM_TOL = 1e-9
 def load_json(path: str | Path):
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    # bytes that are not UTF-8, an integer past the digit limit, nesting past the stack
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _require(condition: bool, message) -> None:
@@ -104,10 +105,7 @@ def joint_from_doc(doc) -> JointTable:
             isinstance(alphabet, list) and alphabet and all(isinstance(a, str) for a in alphabet),
             f"variable {name!r}: 'alphabet' must be a nonempty array of strings",
         )
-        try:
-            specs.append(VariableSpec(name=name, alphabet=tuple(alphabet)))
-        except ValidationError as exc:
-            raise SchemaError(str(exc)) from exc
+        specs.append(VariableSpec(name=name, alphabet=tuple(alphabet)))
     mass_docs = doc.get("mass")
     _require(isinstance(mass_docs, list), "'mass' must be an array")
     pairs = []
@@ -117,10 +115,7 @@ def joint_from_doc(doc) -> JointTable:
         p = _number(item.get("p"), lambda: f"'p' at {Assignment(assign)} must be a finite number")
         pairs.append((assign, p))
     # JointTable checks labels, negative masses, duplicates and the total
-    try:
-        return JointTable(specs, pairs, tol_norm=JOINT_SUM_TOL)
-    except ValidationError as exc:
-        raise SchemaError(str(exc)) from exc
+    return JointTable(specs, pairs, tol_norm=JOINT_SUM_TOL)
 
 
 def joint_to_doc(joint: JointTable) -> dict:
@@ -214,22 +209,16 @@ def direction_from_doc(doc: dict, joint: JointTable) -> Direction:
                 isinstance(part, list) and all(isinstance(n, str) for n in part),
                 f"'direction_groups.{key}' must be an array of strings",
             )
-        try:
-            direction = Direction(
-                target=tuple(groups["target"]),
-                base=tuple(groups.get("base", [])),
-                observed=tuple(groups["observed"]),
-            )
-        except ValidationError as exc:
-            raise SchemaError(str(exc)) from exc
+        direction = Direction(
+            target=tuple(groups["target"]),
+            base=tuple(groups.get("base", [])),
+            observed=tuple(groups["observed"]),
+        )
     else:
         tag = doc.get("direction")
         _require(isinstance(tag, str), "'direction' must be a string tag")
         direction = direction_from_tag(tag, joint.names)
-    try:
-        joint.group(direction.target + direction.base + direction.observed)
-    except ValidationError as exc:
-        raise SchemaError(str(exc)) from exc
+    joint.group(direction.target + direction.base + direction.observed)
     return direction
 
 

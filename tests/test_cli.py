@@ -304,6 +304,15 @@ class TestCheck:
         assert code == 4
         assert "positive-mass context" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_nonnegative(self, capsys, identified, tmp_path, tol):
+        out = tmp_path / "report.json"
+        argv = ["check", F3, "--rewards", identified["fwd_rewards"], "--tol", tol, "--out", str(out)]
+        assert run(capsys, argv) == (
+            2, "", f"error: --tol must be finite and >= 0, got {float(tol)!r}\n"
+        )
+        assert not out.exists()
+
     def test_unknown_check_name_exits_2(self, capsys, identified):
         code, _, err = run(
             capsys,
@@ -379,6 +388,25 @@ class TestConstruct:
         code, _, err = run(capsys, ["construct", F3, "--interaction", offset])
         assert code == 1
         assert err.startswith("error:")
+
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_nonnegative(self, capsys, identified, tmp_path, tol):
+        # every finite i raised by 5: inadmissible at any finite tolerance
+        with open(identified["fwd_interaction"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for entry in doc["entries"]:
+            if entry["i"] != "-inf":
+                entry["i"] += 5.0
+        raised = write_json(tmp_path / "raised.json", doc)
+        code, _, err = run(capsys, ["construct", F3, "--interaction", raised])
+        assert code == 1 and "residual 5.0 > 1e-08" in err
+        out = tmp_path / "posteriors.json"
+        argv = ["construct", F3, "--interaction", raised, "--tol", tol, "--out", str(out)]
+        assert run(capsys, argv) == (
+            2, "", f"error: --tol must be finite and >= 0, got {float(tol)!r}\n"
+        )
+        assert not out.exists()
 
 
 class TestCountable:

@@ -1,4 +1,4 @@
-"""The CLI contract under seeded document mutations.
+"""The CLI contract under seeded document mutations, byte faults and bad flags.
 
 Valid documents of all six kinds (joint, rewards, interaction, values,
 baseline, family) are built from the bundled f3 joint, identify's own
@@ -13,6 +13,12 @@ with the subcommands that read its kind, and every run must:
 - write to stderr nothing, or exactly one `error: ` line that holds no
   traceback and no Python repr of a binding, and nothing at all on exit 0;
 - leave no --out artifact behind once it printed an `error: ` line.
+
+Faults with a known exit code are held to it exactly: the bytes of each
+kind's valid document behind an invalid UTF-8 byte or a UTF-8 BOM, cut
+inside the top-level value, nested 100,000 deep or holding a 5,000-digit
+integer, and bad values of --alpha, --tol, --eps-tail, --start and
+--max-doublings, must each exit 2 with one `error: ` line and no artifact.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import copy
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -31,6 +38,7 @@ F3 = str(fixture_path("f3.json"))
 MUTANTS_PER_KIND = 150
 BAD_VALUES = (None, True, False, 10**400, 5e-324, "nan", [], {}, "no-such-label")
 ERROR_LINE = re.compile(r"error: [^\n]*\n")
+KINDS = ("joint", "rewards", "interaction", "values", "baseline", "family")
 
 
 def paths(node, prefix=()):
@@ -61,8 +69,8 @@ def mutate(doc, rng: random.Random) -> tuple[object, list[str]]:
             break
         nodes = list(paths(doc))
         op = rng.choice(("replace", "drop", "duplicate", "add"))
-        if op == "add":
-            objects = [p for p in [()] + nodes if isinstance(at(doc, p), dict)]
+        objects = [p for p in [()] + nodes if isinstance(at(doc, p), dict)]
+        if op == "add" and objects:
             path = rng.choice(objects)
             at(doc, path)["unknown"] = 0
         elif op == "duplicate" and any(isinstance(p[-1], int) for p in nodes):
@@ -146,8 +154,9 @@ def commands(kind: str, doc: str, files: dict, out: str) -> list[list[str]]:
     return [["countable", doc, "--out", out]]
 
 
-def contract_breach(capsys, work, argv) -> str | None:
-    """What the run did against the contract, or None."""
+def contract_breach(capsys, work, argv, expect: int | None = None) -> str | None:
+    """What the run did against the contract, or None; a fault with a known exit
+    code passes it as expect, and must then also print an error line."""
     try:
         code = main(argv)
     except BaseException as exc:  # noqa: BLE001 - anything escaping main is the finding
@@ -159,6 +168,8 @@ def contract_breach(capsys, work, argv) -> str | None:
         path.unlink()
     if code not in (0, 1, 2, 3, 4):
         return f"exit {code!r}"
+    if expect is not None and (code != expect or not err):
+        return f"exit {code}, stderr {err!r}, expected exit {expect} with an error line"
     if err and (not ERROR_LINE.fullmatch(err) or "Traceback" in err or "Assignment(" in err):
         return f"exit {code}, stderr {err!r}"
     if code == 0 and err:
@@ -168,7 +179,7 @@ def contract_breach(capsys, work, argv) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("kind", ["joint", "rewards", "interaction", "values", "baseline", "family"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_mutated_documents_keep_the_cli_contract(capsys, tmp_path, inputs, kind):
     docs, files = inputs
     rng = random.Random(f"softtilt-fuzz-{kind}")
@@ -184,3 +195,62 @@ def test_mutated_documents_keep_the_cli_contract(capsys, tmp_path, inputs, kind)
             if breach:
                 breaches.append(f"mutant {n} ({'; '.join(done)}), {argv[0]}: {breach}")
     assert not breaches, "\n".join(breaches[:10])
+
+
+def byte_faults(text: str, rng: random.Random) -> dict[str, bytes]:
+    """Bytes no loader can read, made from a valid document's JSON text (an object)."""
+    data = text.encode("utf-8")
+    faults = {
+        "invalid UTF-8 prefix": b"\xff" + data,
+        "UTF-8 BOM": b"\xef\xbb\xbf" + data,
+        "truncated": data[: rng.randrange(1, len(data))],
+        "nested 100,000 deep": b"[" * 100_000 + data + b"]" * 100_000,
+    }
+    if hasattr(sys, "get_int_max_str_digits"):  # Pythons with an integer digit limit
+        faults["5,000-digit integer"] = b'{"n": ' + b"9" * 5000 + b", " + data[1:]
+    return faults
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unreadable_bytes_exit_2(capsys, tmp_path, inputs, kind):
+    docs, files = inputs
+    rng = random.Random(f"softtilt-bytes-{kind}")
+    doc_path = tmp_path / "doc.json"
+    work = tmp_path / "work"
+    work.mkdir()
+    breaches = []
+    for fault, data in byte_faults(json.dumps(docs[kind]), rng).items():
+        doc_path.write_bytes(data)
+        for argv in commands(kind, str(doc_path), files, str(work / "o")):
+            breach = contract_breach(capsys, work, argv, expect=2)
+            if breach:
+                breaches.append(f"{fault}, {argv[0]}: {breach}")
+    assert not breaches, "\n".join(breaches)
+
+
+def flag_faults(files: dict, family: str, out: str):
+    """Each subcommand with one bad flag value, its inputs valid."""
+    for value in ("nan", "inf", "0", "-1"):
+        yield ["solve", F3, "--alpha", value, "--out", out]
+        yield ["identify", F3, "--alpha", value, "--out", out]
+    for value in ("nan", "inf", "-1"):
+        yield ["check", F3, "--rewards", files["rewards"], "--tol", value, "--out", out]
+        yield ["construct", F3, "--interaction", files["interaction"], "--tol", value, "--out", out]
+    for value in ("0", "-1", "nan", "inf"):
+        yield ["countable", family, "--eps-tail", value, "--out", out]
+    yield ["countable", family, "--start", "0", "--out", out]
+    yield ["countable", family, "--max-doublings", "-1", "--out", out]
+
+
+def test_bad_flag_values_exit_2(capsys, tmp_path, inputs):
+    docs, files = inputs
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(docs["family"]), encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    breaches = []
+    for argv in flag_faults(files, str(family), str(work / "o")):
+        breach = contract_breach(capsys, work, argv, expect=2)
+        if breach:
+            breaches.append(f"{' '.join(argv)}: {breach}")
+    assert not breaches, "\n".join(breaches)

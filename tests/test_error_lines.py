@@ -1,15 +1,18 @@
-"""Error lines for binding faults, pinned byte for byte.
+"""Error lines for binding faults and bad flag values, pinned byte for byte.
 
 Each case writes one faulty input next to the bundled f3 joint (X, Y, Z over
-"0"/"1"), runs it through main() in process and pins the exit code and the
-exact stderr line; stdout stays empty. The bindings a message names (such as
-X=0,Y=0,Z=0) are part of the pin, so a reader that renders a raw dict or
-reorders its checks fails here.
+"0"/"1"), or passes one bad flag value, runs it through main() in process and
+pins the exit code and the exact stderr line; stdout stays empty. The bindings
+a message names (such as X=0,Y=0,Z=0) are part of the pin, so a reader that
+renders a raw dict or reorders its checks fails here. Files the loader cannot
+read pin only the line's `error: <path>: ` prefix, since the rest is the
+wording of the Python version's own exception.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -182,3 +185,65 @@ def test_event_binding_faults(capsys, tmp_path, label, option, doc, code, err):
             "--out", str(tmp_path / "out")]
     assert run(capsys, argv) == (code, "", err)
     assert list(tmp_path.glob("out.*")) == []
+
+
+DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="this Python has no integer digit limit")
+
+# file bytes; each exits 2 with one line naming the file
+LOADER_CASES = [
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+    pytest.param(b'{"p": ' + b"9" * 5000 + b"}", id="integer-past-digit-limit",
+                 marks=DIGIT_LIMIT),
+    pytest.param(b"[" * 100_000, id="nesting-past-the-stack"),
+]
+
+
+@pytest.mark.parametrize("data", LOADER_CASES)
+def test_unreadable_files(capsys, tmp_path, data):
+    path = tmp_path / "joint.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+FAMILY = {
+    "prior": {"kind": "geometric", "q": 0.5},
+    "payoff": {"kind": "linear", "slope": 0.1},
+    "bounds": {"tail": "geometric", "payoff": "linear"},
+}
+
+# (label, argv, stderr); every case exits 2. {rewards} and {family} name valid
+# files written by the test, and {out} a path for --out. `--tol` is pinned in
+# test_cli.
+FLAG_CASES = [
+    ("solve-alpha-nan", ["solve", F3, "--alpha", "nan"],
+     "error: alpha must be finite and > 0, got nan\n"),
+    ("solve-alpha-inf", ["solve", F3, "--alpha", "inf"],
+     "error: alpha must be finite and > 0, got inf\n"),
+    ("solve-alpha-zero", ["solve", F3, "--rewards", "{rewards}", "--alpha", "0"],
+     "error: alpha must be finite and > 0, got 0.0\n"),
+    ("identify-alpha-negative", ["identify", F3, "--alpha", "-1", "--out", "{out}"],
+     "error: alpha must be finite and > 0, got -1.0\n"),
+    ("countable-eps-tail-zero", ["countable", "{family}", "--eps-tail", "0"],
+     "error: eps_tail must be finite and > 0, got 0.0\n"),
+    ("countable-eps-tail-nan", ["countable", "{family}", "--eps-tail", "nan"],
+     "error: eps_tail must be finite and > 0, got nan\n"),
+    ("countable-start-zero", ["countable", "{family}", "--start", "0", "--out", "{out}"],
+     "error: truncation schedule must have start >= 1, doublings >= 0\n"),
+    ("countable-max-doublings-negative", ["countable", "{family}", "--max-doublings", "-1"],
+     "error: truncation schedule must have start >= 1, doublings >= 0\n"),
+]
+
+
+@pytest.mark.parametrize("label, argv, err", FLAG_CASES, ids=[c[0] for c in FLAG_CASES])
+def test_bad_flag_values(capsys, tmp_path, label, argv, err):
+    files = {
+        "rewards": write(tmp_path / "rewards.json", entries_doc("r")),
+        "family": write(tmp_path / "family.json", FAMILY),
+        "out": str(tmp_path / "out"),
+    }
+    argv = [arg.format(**files) for arg in argv]
+    assert run(capsys, argv) == (2, "", err)
+    assert list(tmp_path.glob("out*")) == []
