@@ -132,9 +132,10 @@ def _tol(args) -> float | None:
     return args.tol
 
 
-def _require_context_coverage(joint: JointTable, table: RewardTable, label: str) -> None:
-    for ctx, positive in _contexts(joint, table.direction):
-        if positive and ctx not in table.entries:
+def _require_context_coverage(joint: JointTable, direction: Direction, rows, label: str) -> None:
+    """Every positive-mass context needs a row; `_Split.aligned` checks the row's outcomes."""
+    for ctx, positive in _contexts(joint, direction):
+        if positive and ctx not in rows:
             raise CoverageMismatch(f"{label} has no entries for positive-mass context {ctx}")
 
 
@@ -147,6 +148,7 @@ def cmd_solve(args) -> int:
         direction = loaded.direction
         alpha = args.alpha if args.alpha is not None else loaded.alpha
         rewards, terminals = loaded.rewards, loaded.terminals
+        _require_context_coverage(joint, direction, rewards.entries, "rewards file")
     else:
         direction = _pick_direction(args, joint)
         alpha = args.alpha if args.alpha is not None else 1.0
@@ -163,8 +165,6 @@ def cmd_solve(args) -> int:
                 )
             skipped.append({"context": _obj(ctx), "reason": "zero conditioning mass"})
             continue
-        if ctx not in rewards.entries:
-            raise CoverageMismatch(f"reward file has no entries for positive-mass context {ctx}")
         solution = solve_tilt(build_problem(joint, terminals, config, rewards, ctx))
         entries.append(
             {
@@ -278,19 +278,14 @@ def _check_admissibility(
                 f"interaction file direction {table.direction.tag!r} does not match "
                 f"the rewards direction {loaded.direction.tag!r}"
             )
+        _require_context_coverage(joint, table.direction, table.values, "interaction file")
         tolerance = ADMIT_TOL if tol is None else tol
         source = "external file"
     else:
         table = identify_interaction(joint, loaded.direction)
         tolerance = IDENTITY_TOL if tol is None else tol
         source = "identified from joint"
-    try:
-        residuals = check_admissibility(table, joint)
-    except ValidationError as exc:
-        if interaction_path is None:
-            raise
-        # the file misses a prior-supported outcome: a coverage fault, as in construct
-        raise CoverageMismatch(str(exc)) from None
+    residuals = check_admissibility(table, joint)
     skipped = [
         (ctx, "zero conditioning mass") for ctx, positive in _contexts(joint, table.direction)
         if not positive
@@ -326,7 +321,6 @@ def _check_commute(
         raise ValidationError(
             f"alpha disagrees between reward files: {loaded.alpha!r} vs {swapped.alpha!r}"
         )
-    _require_context_coverage(joint, swapped.rewards, "--rewards-swapped file")
     terminals = _merge_terminals(loaded.terminals, swapped.terminals)
     pair = DirectionPair(
         joint=joint,
@@ -371,12 +365,12 @@ def cmd_check(args) -> int:
     tol = _tol(args)
     joint = _load_joint(args.joint)
     loaded = reward_from_doc(load_json(args.rewards), joint, fill_zero=args.fill_zero)
-    _require_context_coverage(joint, loaded.rewards, "rewards file")
-    swapped = (
-        reward_from_doc(load_json(args.rewards_swapped), joint, fill_zero=args.fill_zero)
-        if args.rewards_swapped
-        else None
-    )
+    _require_context_coverage(joint, loaded.direction, loaded.rewards.entries, "rewards file")
+    swapped = None
+    if args.rewards_swapped:
+        swapped = reward_from_doc(load_json(args.rewards_swapped), joint, fill_zero=args.fill_zero)
+        rows = swapped.rewards.entries
+        _require_context_coverage(joint, swapped.direction, rows, "--rewards-swapped file")
     if args.checks:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
         unknown = [n for n in names if n not in CHECK_NAMES]
@@ -420,26 +414,19 @@ def cmd_construct(args) -> int:
     joint = _load_joint(args.joint)
     _, table = interaction_from_doc(load_json(args.interaction), joint)
     direction = table.direction
+    _require_context_coverage(joint, direction, table.values, "interaction file")
     s = _split(joint, direction)
     tol_admit = tol if tol is not None else ADMIT_TOL
     entries = []
     skipped = []
     for ctx in table.contexts():
         try:
-            prior = s.prior(s.ctx_base[s.ctx_index[ctx]])
+            prior, signal = s.aligned(s.ctx_index[ctx], table.values[ctx], "interaction table")
         except ZeroMassContext:
             if not args.skip_zero_mass:
                 raise
             skipped.append({"context": _obj(ctx), "reason": "zero base mass"})
             continue
-        row = table.values[ctx]
-        signal = []
-        for outcome, p in zip(s.outcomes, prior.probs):
-            if p > 0 and outcome not in row:
-                raise CoverageMismatch(
-                    f"interaction file misses prior-supported outcome {outcome} at context {ctx}"
-                )
-            signal.append(row.get(outcome, -math.inf))
         posterior, residual = _posterior_and_residual(prior, signal, tol_admit)
         entries.append(
             {
@@ -541,8 +528,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _parser: argparse.ArgumentParser | None = None
 
-# the exit code of each error class that has one; any other SoftTiltError exits 1
-_EXIT_CODES = ((ValidationError, 2), (ZeroMassContext, 3), (CoverageMismatch, 4))
+# the exit code of each error class that has one, the first match winning (a
+# CoverageMismatch is a ValidationError); any other SoftTiltError exits 1
+_EXIT_CODES = ((CoverageMismatch, 4), (ValidationError, 2), (ZeroMassContext, 3))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -121,25 +121,16 @@ def build_problem(
     ci = s.locate(ctx)
     if s.m_cond[ci] == 0:
         raise ZeroMassContext(f"conditioning event {ctx} has zero probability")
-    prior = s.prior(s.ctx_base[ci])
     row = rewards.entries.get(ctx)
     if row is None:
-        raise ValidationError(f"reward table has no entries for context {ctx}")
-    reward_vec = []
-    terminal_vec = []
+        raise CoverageMismatch(f"reward table has no entries for context {ctx}")
+    prior, reward = s.aligned(ci, row, "reward table")
     at = s.ctx_full[ci]
-    for outcome, offset, p in zip(s.outcomes, s.out_full, prior.probs):
-        if p == 0:
-            reward_vec.append(0.0)  # placeholder, ignored off support
-            terminal_vec.append(0.0)
-            continue
-        if outcome not in row:
-            raise ValidationError(f"missing reward entry for outcome {outcome} at context {ctx}")
-        reward_vec.append(row[outcome])
-        terminal_vec.append(float(values.value(s.events[at + offset])))
-    return SoftUpdateProblem(
-        prior=prior, reward=tuple(reward_vec), terminal=tuple(terminal_vec), config=config
-    )
+    terminal = tuple([
+        float(values.value(s.events[at + offset])) if p else 0.0
+        for offset, p in zip(s.out_full, prior.probs)
+    ])
+    return SoftUpdateProblem(prior=prior, reward=tuple(reward), terminal=terminal, config=config)
 
 
 def commutativity_residual(

@@ -22,7 +22,9 @@ Every other run is scanned. The built-in families build their terms a chunk at a
 with C-level arithmetic over whole lists, bit for bit what their per-n
 callables compute; other families are called once per n. A checkpoint's
 partial sum is taken only where an upper bound on it cannot rule out both
-a certificate and divergence, and always at the last checkpoint.
+a certificate and divergence, and always at the last checkpoint. A scan that
+would build more than MAX_SCAN_TERMS terms to reach its next checkpoint is a
+ValidationError, raised before any of them is built.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ DEFAULT_EXPLOSION_LOG = 500.0
 # the per-chunk overhead, few enough that the chunk's temporary lists stay
 # small next to the retained terms
 _CHUNK = 1 << 14
+# a scan keeps every log-term up to its checkpoint, so it refuses to build past
+# this many (about 1 GiB of floats); the default schedule builds (16 << 17) + 1
+MAX_SCAN_TERMS = 1 << 25
 
 
 class CertificateStatus(str, Enum):
@@ -454,6 +459,11 @@ def _truncate(
     prev_checkpoint_term: float | None = None
     for k in range(max_doublings + 1):
         n_stop = start << k
+        if n_stop >= MAX_SCAN_TERMS:
+            raise ValidationError(
+                f"truncation point {n_stop} would build {n_stop + 1} terms, "
+                f"more than the scan's limit of {MAX_SCAN_TERMS}"
+            )
         for lo in range(len(log_terms), n_stop + 1, _CHUNK):
             chunk = _term_chunk(family, lo, min(lo + _CHUNK, n_stop + 1))
             top = max(top, max(chunk))

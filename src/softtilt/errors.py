@@ -4,7 +4,7 @@ Every error raised by this library derives from SoftTiltError so callers can
 catch one base class. Subclasses are semantic: they name the violated
 contract, not the call site. SchemaError is an alias of ValidationError: a
 fault in any input, whether a JSON field, a flag value or a library argument,
-is one class.
+is one class. So is CoverageMismatch, a table missing cells it must cover.
 """
 
 
@@ -54,7 +54,7 @@ class MissingContext(SoftTiltError, KeyError):
     """A per-context map (gauge shift or context values) lacks a required context."""
 
 
-class CoverageMismatch(SoftTiltError):
+class CoverageMismatch(ValidationError):
     """Two tables do not cover the same cells, or a table misses required cells."""
 
 

@@ -142,6 +142,20 @@ class _Split:
             vec = self._priors[bi] = DistVector(self.target_specs, probs)
         return vec
 
+    def aligned(self, ci: int, row: Mapping, what: str) -> tuple[DistVector, list[float]]:
+        """Context ci's prior and the row's values in outcome order, 0.0 off the
+        prior's support; the `what` row missing a supported outcome is a CoverageMismatch."""
+        prior = self.prior(self.ctx_base[ci])
+        values = []
+        for outcome, p in zip(self.outcomes, prior.probs):
+            if p and outcome not in row:
+                raise CoverageMismatch(
+                    f"{what} misses prior-supported outcome {outcome} "
+                    f"at context {self.contexts[ci]}"
+                )
+            values.append(row[outcome] if p else 0.0)
+        return prior, values
+
 
 def _grid(joint: JointTable, group: tuple[int, ...]):
     """The assignments over a group of variable indices in cell order, their
@@ -290,7 +304,7 @@ def calibrate_rewards(
     r(x | ctx) = i/alpha - V(x, ctx) + K(ctx) and V(ctx) = K(ctx), where K is
     the baseline shift (0 when none is given). Posterior-null cells have no
     finite reward; they are excluded and reported, or raised when
-    on_infinite="error".
+    on_infinite="error". A reward that overflows (a tiny alpha) is a ValidationError.
     """
     if on_infinite not in ("exclude", "error"):
         raise ValidationError(f"on_infinite must be 'exclude' or 'error', got {on_infinite!r}")
@@ -327,7 +341,12 @@ def calibrate_rewards(
             v_term = float(terminal.value(event))
             if not math.isfinite(v_term):
                 raise ValidationError(f"terminal value at {event} must be finite, got {v_term!r}")
-            row[outcome] = value / alpha - v_term + shift
+            r = row[outcome] = value / alpha - v_term + shift
+            if not math.isfinite(r):
+                raise ValidationError(
+                    f"calibrated reward at {ctx}/{outcome} must be finite, "
+                    f"got {r!r} at alpha {alpha!r}"
+                )
         entries[ctx] = row
     convention = "zero context baseline" if baseline is None else "supplied context baseline"
     rewards = RewardTable(direction=direction, entries=entries, convention=convention)
@@ -461,15 +480,7 @@ def check_admissibility(table: InteractionTable, joint: JointTable) -> dict[Assi
     s = _split(joint, table.direction)
     residuals: dict[Assignment, float] = {}
     for ctx in table.contexts():
-        prior = s.prior(s.ctx_base[s.locate(ctx)])
-        row = table.values[ctx]
-        signal = []
-        for outcome, p in zip(s.outcomes, prior.probs):
-            if p > 0 and outcome not in row:
-                raise ValidationError(
-                    f"interaction table misses prior-supported outcome {outcome} at context {ctx}"
-                )
-            signal.append(row.get(outcome, -math.inf))
+        prior, signal = s.aligned(s.locate(ctx), table.values[ctx], "interaction table")
         residuals[ctx] = abs(_log_normalizer(prior, signal)[1])
     return residuals
 

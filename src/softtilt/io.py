@@ -307,26 +307,29 @@ def _fill_or_check_coverage(s, entries, events, fill_zero: bool) -> None:
             events.setdefault(s.events[at + offset], 0.0)
 
 
+def _table_doc(direction: Direction, alpha: float | None, rows, fields) -> dict:
+    """A reward or interaction document: an entry per context and outcome of rows in
+    canonical order, with the value fields fields(context, outcome, value) gives."""
+    doc = direction_fields(direction)
+    if alpha is not None:
+        doc["alpha"] = float(alpha)
+    doc["entries"] = [
+        {"context": dict(ctx.items_sorted), "outcome": dict(outcome.items_sorted),
+         **fields(ctx, outcome, row[outcome])}
+        for ctx, row in sorted(rows.items(), key=lambda t: t[0].items_sorted)
+        for outcome in sorted(row, key=lambda a: a.items_sorted)
+    ]
+    return doc
+
+
 def reward_to_doc(
     alpha: float,
     rewards: RewardTable,
     terminals: EventValueFunction,
 ) -> dict:
-    entries = []
-    for ctx in rewards.contexts():
-        for outcome in rewards.outcomes_for(ctx):
-            entries.append(
-                {
-                    "context": dict(ctx.items_sorted),
-                    "outcome": dict(outcome.items_sorted),
-                    "r": rewards.entries[ctx][outcome],
-                    "V": float(terminals.value(outcome.union(ctx))),
-                }
-            )
-    doc = direction_fields(rewards.direction)
-    doc["alpha"] = float(alpha)
-    doc["entries"] = entries
-    return doc
+    return _table_doc(rewards.direction, alpha, rewards.entries, lambda ctx, outcome, r: {
+        "r": r, "V": float(terminals.value(outcome.union(ctx)))
+    })
 
 
 def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, InteractionTable]:
@@ -350,22 +353,9 @@ def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, Interact
 
 
 def interaction_to_doc(table: InteractionTable, alpha: float | None = None) -> dict:
-    entries = []
-    for ctx in table.contexts():
-        for outcome in table.outcomes_for(ctx):
-            value = table.values[ctx][outcome]
-            entries.append(
-                {
-                    "context": dict(ctx.items_sorted),
-                    "outcome": dict(outcome.items_sorted),
-                    "i": "-inf" if value == -math.inf else value,
-                }
-            )
-    doc = direction_fields(table.direction)
-    if alpha is not None:
-        doc["alpha"] = float(alpha)
-    doc["entries"] = entries
-    return doc
+    return _table_doc(table.direction, alpha, table.values, lambda ctx, outcome, i: {
+        "i": "-inf" if i == -math.inf else i
+    })
 
 
 # -------------------------------------------------- values and baselines

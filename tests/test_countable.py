@@ -280,6 +280,25 @@ class TestContracts:
         with pytest.raises(ValidationError):
             log_normalizer_truncated(family, EPS, max_doublings=-1)
 
+    @pytest.mark.parametrize("start", [1 << 25, 1 << 62])
+    def test_scan_refuses_checkpoint_past_term_limit(self, start):
+        # past the limit of 1 << 25 terms, refused before a term is built, so
+        # a fault here fails fast, not by running out of memory
+        family = CountableFamily.geometric_linear(0.5, 0.1)
+        with mock.patch.object(countable, "_term_chunk", side_effect=AssertionError("built")):
+            with pytest.raises(ValidationError, match=f"truncation point {start} would build"):
+                log_normalizer_truncated(family, EPS, start=start, max_doublings=0)
+
+    def test_term_limit_leaves_runs_that_stop_before_it(self):
+        # a scan that certifies early never reaches its far checkpoints
+        _, cert = log_normalizer_truncated(geometric_payoff_family(1.0), EPS, max_doublings=60)
+        assert (cert.status, cert.N) == (CertificateStatus.FINITE, 64)
+        # and a planned run builds no term, however far its last checkpoint
+        family = CountableFamily.geometric_linear(0.5, math.log(2.0))
+        with mock.patch.object(countable, "_term_chunk", side_effect=AssertionError("built")):
+            _, cert = log_normalizer_truncated(family, EPS, start=1 << 25)
+        assert (cert.status, cert.N) == (CertificateStatus.INCONCLUSIVE, 1 << 42)
+
     def test_tilt_requires_finite_certificate(self):
         with pytest.raises(NotFinite):
             tilt_truncated(geometric_payoff_family(3.0), EPS)

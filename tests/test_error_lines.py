@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from softtilt import fixture_path
+from softtilt import countable, fixture_path
 from softtilt.cli import main
 
 F3 = str(fixture_path("f3.json"))
@@ -226,6 +226,9 @@ FLAG_CASES = [
      "error: alpha must be finite and > 0, got 0.0\n"),
     ("identify-alpha-negative", ["identify", F3, "--alpha", "-1", "--out", "{out}"],
      "error: alpha must be finite and > 0, got -1.0\n"),
+    # i/alpha overflows: a rewards file of "inf" would be unreadable
+    ("identify-alpha-tiny", ["identify", F3, "--alpha", "1e-320", "--out", "{out}"],
+     "error: calibrated reward at Y=0,Z=0/X=0 must be finite, got inf at alpha 1e-320\n"),
     ("countable-eps-tail-zero", ["countable", "{family}", "--eps-tail", "0"],
      "error: eps_tail must be finite and > 0, got 0.0\n"),
     ("countable-eps-tail-nan", ["countable", "{family}", "--eps-tail", "nan"],
@@ -234,11 +237,23 @@ FLAG_CASES = [
      "error: truncation schedule must have start >= 1, doublings >= 0\n"),
     ("countable-max-doublings-negative", ["countable", "{family}", "--max-doublings", "-1"],
      "error: truncation schedule must have start >= 1, doublings >= 0\n"),
+    ("countable-start-past-term-limit",
+     ["countable", "{family}", "--start", "4611686018427387904", "--max-doublings", "0",
+      "--out", "{out}"],
+     "error: truncation point 4611686018427387904 would build 4611686018427387905 terms, "
+     "more than the scan's limit of 33554432\n"),
 ]
 
 
+def _no_terms(*args):
+    raise AssertionError("a countable term was built")
+
+
 @pytest.mark.parametrize("label, argv, err", FLAG_CASES, ids=[c[0] for c in FLAG_CASES])
-def test_bad_flag_values(capsys, tmp_path, label, argv, err):
+def test_bad_flag_values(capsys, tmp_path, monkeypatch, label, argv, err):
+    # no bad value may build a countable term: a missing limit fails here at
+    # once, not by running out of memory
+    monkeypatch.setattr(countable, "_term_chunk", _no_terms)
     files = {
         "rewards": write(tmp_path / "rewards.json", entries_doc("r")),
         "family": write(tmp_path / "family.json", FAMILY),
