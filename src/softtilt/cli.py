@@ -53,11 +53,11 @@ from .io import (
     dumps_report,
     family_from_doc,
     interaction_from_doc,
-    interaction_to_doc,
+    interaction_to_text,
     joint_from_doc,
     load_json,
     reward_from_doc,
-    reward_to_doc,
+    reward_to_text,
     values_from_doc,
 )
 from .tilt import SolverConfig, _decomposition_residual, solve_tilt
@@ -215,8 +215,8 @@ def cmd_identify(args) -> int:
     )
     prefix = args.out
     _write_files([
-        (f"{prefix}.interaction.json", _render(interaction_to_doc(calib.interaction, args.alpha))),
-        (f"{prefix}.rewards.json", _render(reward_to_doc(args.alpha, calib.rewards, terminals))),
+        (f"{prefix}.interaction.json", interaction_to_text(calib.interaction, args.alpha) + "\n"),
+        (f"{prefix}.rewards.json", reward_to_text(args.alpha, calib.rewards, terminals) + "\n"),
         (f"{prefix}.report.json", _render(report)),
     ])
     return 0

@@ -18,6 +18,9 @@ sum, however large, could reach a certificate at any checkpoint (the tail
 bound reads +inf throughout), the run is reported 'inconclusive' at its
 last checkpoint without building a term, and its log partial sum is the
 exact sum of the family's series, evaluated in `decimal` and rounded once.
+Where such a family's float tail bound certifies 'finite', the bound is
+evaluated again from the exact parameters in `decimal`, rounded upward,
+and it is that bound which must certify and is reported.
 Every other run is scanned. The built-in families build their terms a chunk at a time
 with C-level arithmetic over whole lists, bit for bit what their per-n
 callables compute; other families are called once per n. A checkpoint's
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from enum import Enum
 from itertools import repeat
 from operator import add, mul, sub
@@ -402,6 +405,40 @@ def _exact_log_partial(q: float, slope: float, intercept: float, n: int, prec: i
         value, prec = float(exact), 2 * prec
 
 
+def _exact_tail(
+    q: float, slope: float, intercept: float, n: int, eps_tail: float, prec: int
+) -> tuple[float, bool]:
+    """The tail bound at n of a built-in family whose exact L = slope + ln q is
+    negative, rounded upward to a double from the exact parameters, and whether
+    it certifies n: whether it lies below eps_tail times the exact partial sum.
+
+    log T(n) = ln(1-q) + intercept + (n+1)L - ln(1 - e^L). Decimal's ln and exp
+    are correctly rounded, so a neighbour of each result bounds it on the side
+    wanted, and the other operations round toward that side. prec resolves
+    the sign of L, so L rounded up at 50 more digits is still negative. With
+    x = e^((n+1)L) the partial sum is T(n) (1 - x) / x, so log T(n) lies below
+    log eps_tail + log S(n) exactly when x (1 + eps_tail) < eps_tail.
+    """
+    up = Context(prec=prec + 50, rounding=ROUND_CEILING)
+    down = Context(prec=prec + 50, rounding=ROUND_FLOOR)
+    q_, eps = Decimal(q), Decimal(eps_tail)
+    log_ratio = up.add(Decimal(slope), up.next_plus(up.ln(q_)))
+    log_x = up.multiply(n + 1, log_ratio)
+    x = up.next_plus(up.exp(log_x))
+    certified = up.multiply(x, up.add(1, eps)) < eps
+    # 1 - e^L from below, so that -ln(1 - e^L) is bounded from above
+    gap = down.subtract(1, up.next_plus(up.exp(log_ratio)))
+    # exact: a double in (0, 1) has at most 1074 decimal places
+    log_head = up.next_plus(up.ln(Context(prec=1100).subtract(1, q_)))
+    log_tail = up.add(up.add(log_head, Decimal(intercept)), log_x)
+    log_tail = up.subtract(log_tail, down.next_minus(down.ln(gap)))
+    tail = up.next_plus(up.exp(log_tail))
+    bound = float(tail)
+    if Decimal(bound) < tail:
+        bound = math.nextafter(bound, math.inf)
+    return bound, certified
+
+
 def _plan(
     family: CountableFamily,
     log_eps: float,
@@ -482,6 +519,13 @@ def _truncate(
         if last or reachable is not CertificateStatus.INCONCLUSIVE:
             log_partial = shifted_log_sum(log_terms, top) if top > -math.inf else -math.inf
             status = _reached(bound, log_partial, log_eps, explosion_log, unbounded)
+            if status is CertificateStatus.FINITE and sign < 0:
+                # the float bound rounds q e^slope, which can put it below the true tail
+                bound, certified = _exact_tail(
+                    prior.q, payoff.step, payoff.offset, n_stop, eps_tail, prec
+                )
+                if not certified:
+                    status = CertificateStatus.INCONCLUSIVE
             if status is CertificateStatus.DIVERGED and not (
                 last_term > -math.inf
                 and prev_checkpoint_term is not None

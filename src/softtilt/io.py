@@ -4,7 +4,8 @@ All emitted documents are rendered by a local writer: keys sorted, entry
 lists in canonical (lexicographic assignment) order, numbers at 17
 significant digits, nonfinite floats as quoted strings ("-inf" is the
 interaction sentinel). Same inputs and flags therefore produce
-byte-identical bytes.
+byte-identical bytes. Reward and interaction tables are written straight
+to text, with the same bytes, each binding object rendered once per table.
 
 The joint, reward and interaction readers resolve a binding (`assign`,
 `context`, `outcome`) that is a plain dict of known names and labels by one
@@ -307,29 +308,42 @@ def _fill_or_check_coverage(s, entries, events, fill_zero: bool) -> None:
             events.setdefault(s.events[at + offset], 0.0)
 
 
-def _table_doc(direction: Direction, alpha: float | None, rows, fields) -> dict:
-    """A reward or interaction document: an entry per context and outcome of rows in
-    canonical order, with the value fields fields(context, outcome, value) gives."""
-    doc = direction_fields(direction)
+def _table_text(direction: Direction, alpha: float | None, rows, names, values) -> str:
+    """A reward or interaction document, rendered as `dumps_report` renders it: an
+    entry per context and outcome of rows in canonical order, whose value fields
+    `names` hold the floats values(context, outcome, value) returns, in that order.
+
+    Each binding object is rendered once per table, and every entry comes from
+    one template whose keys are sorted once."""
+    header = direction_fields(direction)
     if alpha is not None:
-        doc["alpha"] = float(alpha)
-    doc["entries"] = [
-        {"context": dict(ctx.items_sorted), "outcome": dict(outcome.items_sorted),
-         **fields(ctx, outcome, row[outcome])}
-        for ctx, row in sorted(rows.items(), key=lambda t: t[0].items_sorted)
-        for outcome in sorted(row, key=lambda a: a.items_sorted)
-    ]
-    return doc
+        header["alpha"] = float(alpha)
+    slots = {"context": "{0}", "outcome": "{1}"}
+    slots.update((name, f"{{{at}}}") for at, name in enumerate(names, 2))
+    template = "    {{\n" + ",\n".join(
+        f"      {_quote(key)}: {slots[key]}" for key in sorted(slots)
+    ) + "\n    }}"
+    outcome_texts: dict[Assignment, str] = {}
+    entries = []
+    for ctx, row in sorted(rows.items(), key=lambda t: t[0].items_sorted):
+        ctx_text = _render(dict(ctx.items_sorted), 3)
+        for outcome in sorted(row, key=lambda a: a.items_sorted):
+            outcome_text = outcome_texts.get(outcome)
+            if outcome_text is None:
+                outcome_text = outcome_texts[outcome] = _render(dict(outcome.items_sorted), 3)
+            floats = map(format_float, values(ctx, outcome, row[outcome]))
+            entries.append(template.format(ctx_text, outcome_text, *floats))
+    fields = [f"  {_quote(key)}: {_render(value, 1)}" for key, value in sorted(header.items())]
+    # "entries" sorts after every header key
+    fields.append('  "entries": ' + ("[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"))
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
-def reward_to_doc(
-    alpha: float,
-    rewards: RewardTable,
-    terminals: EventValueFunction,
-) -> dict:
-    return _table_doc(rewards.direction, alpha, rewards.entries, lambda ctx, outcome, r: {
-        "r": r, "V": float(terminals.value(outcome.union(ctx)))
-    })
+def reward_to_text(alpha: float, rewards: RewardTable, terminals: EventValueFunction) -> str:
+    def values(ctx, outcome, r):
+        return r, float(terminals.value(outcome.union(ctx)))
+
+    return _table_text(rewards.direction, alpha, rewards.entries, ("r", "V"), values)
 
 
 def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, InteractionTable]:
@@ -352,10 +366,8 @@ def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, Interact
     return alpha, InteractionTable(direction=direction, values=values)
 
 
-def interaction_to_doc(table: InteractionTable, alpha: float | None = None) -> dict:
-    return _table_doc(table.direction, alpha, table.values, lambda ctx, outcome, i: {
-        "i": "-inf" if i == -math.inf else i
-    })
+def interaction_to_text(table: InteractionTable, alpha: float | None = None) -> str:
+    return _table_text(table.direction, alpha, table.values, ("i",), lambda ctx, outcome, i: (i,))
 
 
 # -------------------------------------------------- values and baselines

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 from softtilt import (
@@ -213,6 +214,29 @@ def ref_pmi(joint: JointTable, x, z, y) -> float:
     return math.log(ratio.numerator) - math.log(ratio.denominator)
 
 
+def ref_table_doc(direction, alpha, rows, fields) -> dict:
+    """A reward or interaction document as a plain dict for `dumps_report`: the
+    direction's tag and groups, alpha when given, and an entry per context and
+    outcome of rows, in canonical order, holding fields(context, outcome, value)."""
+    doc = {
+        "direction": direction.tag,
+        "direction_groups": {
+            "target": list(direction.target),
+            "base": list(direction.base),
+            "observed": list(direction.observed),
+        },
+        "entries": [],
+    }
+    if alpha is not None:
+        doc["alpha"] = alpha
+    for ctx in sorted(rows, key=lambda a: a.items_sorted):
+        for outcome in sorted(rows[ctx], key=lambda a: a.items_sorted):
+            entry = {"context": dict(ctx.items_sorted), "outcome": dict(outcome.items_sorted)}
+            entry.update(fields(ctx, outcome, rows[ctx][outcome]))
+            doc["entries"].append(entry)
+    return doc
+
+
 # Plain per-term reference for the countable kernel: the term-by-term scan
 # and the generator logsumexp that softtilt.countable and softtilt.tilt must
 # agree with bit for bit.
@@ -230,8 +254,27 @@ def ref_logsumexp(values) -> float:
     return m + math.log(math.fsum(math.exp(x - m) for x in xs if x > -math.inf))
 
 
-def ref_truncate(family, eps_tail, start, max_doublings, explosion_log) -> _TruncationRun:
-    """softtilt.countable._truncate as a scan; the schedule and eps_tail must be valid."""
+def ref_geometric_tail(q: float, slope: float, intercept: float, n: int) -> tuple[Decimal, Decimal]:
+    """The sums over m > n and over m <= n of the terms (1-q) q^m e^(slope m +
+    intercept), for slope + ln q < 0, at 60 digits: the exact tail and partial
+    sum at n of a built-in geometric family."""
+    with localcontext(Context(prec=60, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        one_minus_q = 1 - Fraction(q)
+        head = Decimal(one_minus_q.numerator) / one_minus_q.denominator * Decimal(intercept).exp()
+        log_ratio = Decimal(slope) + Decimal(q).ln()
+        x, gap = ((n + 1) * log_ratio).exp(), 1 - log_ratio.exp()
+        return head * x / gap, head * (1 - x) / gap
+
+
+def ref_truncate(
+    family, eps_tail, start, max_doublings, explosion_log, exact_tail=None
+) -> _TruncationRun:
+    """softtilt.countable._truncate as a scan; the schedule and eps_tail must be valid.
+
+    exact_tail(n), when given, returns the exact tail and partial sum at n, as
+    `ref_geometric_tail` does: a checkpoint the family's tail bound certifies
+    is then 'finite' only if that tail is below eps_tail times that partial
+    sum, and reports that tail as its bound."""
     log_terms: list[float] = []
     prev_bound, prev_term, run = math.inf, None, None
     for k in range(max_doublings + 1):
@@ -263,6 +306,10 @@ def ref_truncate(family, eps_tail, start, max_doublings, explosion_log) -> _Trun
             bound == 0.0 or (bound > 0.0 and math.log(bound) < math.log(eps_tail) + log_partial)
         ):
             status = CertificateStatus.FINITE
+            if exact_tail is not None:
+                bound, partial = exact_tail(n_stop)
+                if not bound < Decimal(eps_tail) * partial:
+                    status = CertificateStatus.INCONCLUSIVE
         elif (
             bound == math.inf
             and log_partial > explosion_log

@@ -30,7 +30,7 @@ from softtilt import (
 )
 from softtilt.cli import main
 from softtilt.tilt import shifted_log_sum
-from helpers import random_problem, ref_logsumexp, ref_truncate
+from helpers import random_problem, ref_geometric_tail, ref_logsumexp, ref_truncate
 
 EPS = 1e-12
 
@@ -414,22 +414,33 @@ def _assert_run_matches_scan(family, eps_tail, start, max_doublings):
 
     The reference scan knows no exact ratio. For a built-in family whose
     slope + ln q is negative it runs with no explosion threshold, which is
-    what 'the series converges, so it cannot diverge' means to it; where it
+    what 'the series converges, so it cannot diverge' means to it, and a
+    checkpoint it certifies must hold for the exact tail and partial sum,
+    whose tail is then reported, rounded up to the next double; where it
     is positive, it reads a tail bound of +inf, because the series diverges
     and no finite bound is true."""
     prior, payoff = family.log_prior_mass, family.payoff
-    sign = 0
+    sign, exact_tail = 0, None
     if isinstance(prior, countable._GeometricPrior):
         sign = _log_ratio_sign(prior.q, payoff.step)
+        if sign < 0:
+            def exact_tail(n):
+                return ref_geometric_tail(prior.q, payoff.step, payoff.offset, n)
     ref = dataclasses.replace(family, tail_bound=lambda n: math.inf) if sign > 0 else family
+    explosion_log = math.inf if sign < 0 else 500.0
     try:
-        want = ref_truncate(ref, eps_tail, start, max_doublings, math.inf if sign < 0 else 500.0)
+        want = ref_truncate(ref, eps_tail, start, max_doublings, explosion_log, exact_tail)
     except SoftTiltError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             countable._truncate(family, eps_tail, start, max_doublings, 500.0)
         return
     got = countable._truncate(family, eps_tail, start, max_doublings, 500.0)
-    assert (got.status, got.N, got.tail_bound.hex()) == (want.status, want.N, want.tail_bound.hex())
+    assert (got.status, got.N) == (want.status, want.N)
+    if isinstance(want.tail_bound, Decimal):
+        below = Decimal(math.nextafter(got.tail_bound, 0.0))
+        assert below < want.tail_bound <= Decimal(got.tail_bound)
+    else:
+        assert got.tail_bound.hex() == want.tail_bound.hex()
     if got.log_terms:
         assert _hexes(got.log_terms) == _hexes(want.log_terms)
         assert got.log_partial.hex() == want.log_partial.hex()
@@ -664,6 +675,31 @@ class TestPlan:
         _, cert = log_normalizer_truncated(family, EPS, max_doublings=10)
         assert (cert.status, cert.N, cert.tail_bound) == (CertificateStatus.DIVERGED, 32, math.inf)
 
+    def test_finite_tail_bound_is_never_below_the_exact_tail(self):
+        # slope + ln q is a few ulps below zero, so q * exp(slope) is rounded
+        # next to one, and the float bound's 1 - ratio carries a large relative
+        # error: for the first family it read 1.08e14 at N=16, against an exact
+        # tail of 6.10e15, and eps_tail 1e15 certified 'finite' there
+        rng = random.Random(0x50F7)
+        cases = [(0.9880144317811363, 0.012057974275023906, 1e15)]
+        for _ in range(200):
+            q = rng.uniform(0.01, 0.99)
+            slope = _near_minus_log_q(q, -rng.randint(1, 6))
+            cases.append((q, slope, rng.choice((10.0, 1e6, 1e15))))
+        finite = 0
+        for q, slope, eps_tail in cases:
+            _, cert = log_normalizer_truncated(
+                CountableFamily.geometric_linear(q, slope), eps_tail, max_doublings=6
+            )
+            if cert.status is CertificateStatus.FINITE:
+                finite += 1
+                tail, partial = ref_geometric_tail(q, slope, 0.0, cert.N)
+                assert Decimal(cert.tail_bound) >= tail
+                assert tail < Decimal(eps_tail) * partial
+        # 52 of the 201 runs certify; certified from the float bound alone, 28
+        # of those bounds lay below the exact tail and 3 certificates were false
+        assert finite >= 50
+
     @pytest.mark.parametrize(
         "tail, message",
         [
@@ -759,7 +795,7 @@ BENCH_FAMILIES = {
   "log_normalizer": 0.69314718055994529,
   "log_partial": 0.69314718055994529,
   "status": "finite",
-  "tail_bound": 1.5273303196353799e-16,
+  "tail_bound": 1.5273303196353821e-16,
   "terms": 128
 }
 """,
@@ -773,7 +809,7 @@ BENCH_FAMILIES = {
   "log_normalizer": 6.9078052785661237,
   "log_partial": 6.9078052785661237,
   "status": "finite",
-  "tail_bound": 1.6999641089308219e-20,
+  "tail_bound": 1.6999641089968328e-20,
   "terms": 524288
 }
 """,
@@ -815,7 +851,7 @@ BENCH_FAMILIES = {
   "log_normalizer": 3,
   "log_partial": 3,
   "status": "finite",
-  "tail_bound": 2.6319383478072616e-17,
+  "tail_bound": 2.631938347807261e-17,
   "terms": 4096
 }
 """,

@@ -7,16 +7,22 @@ import math
 import time
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from softtilt import (
     Assignment,
     CoverageMismatch,
     Direction,
     EventValueFunction,
+    InteractionTable,
+    RewardTable,
     SchemaError,
     SoftTiltError,
+    VariableSpec,
     calibrate_rewards,
     identify_interaction,
+    iter_group_assignments,
     joint_f3,
     log_normalizer_truncated,
 )
@@ -29,17 +35,17 @@ from softtilt.io import (
     family_from_doc,
     format_float,
     interaction_from_doc,
-    interaction_to_doc,
+    interaction_to_text,
     joint_from_doc,
     joint_to_doc,
     load_json,
     reward_from_doc,
-    reward_to_doc,
+    reward_to_text,
     segment_names,
     values_from_doc,
     values_to_doc,
 )
-from helpers import sparse_joint
+from helpers import ref_table_doc, sparse_joint
 
 FWD = Direction(target=("X",), base=("Y",), observed=("Z",))
 
@@ -186,7 +192,7 @@ class TestRewardDoc:
     def calibrated_doc(self):
         j = joint_f3()
         calib = calibrate_rewards(j, FWD, EventValueFunction.zero(), alpha=2.0)
-        return j, calib, reward_to_doc(2.0, calib.rewards, EventValueFunction.zero())
+        return j, calib, json.loads(reward_to_text(2.0, calib.rewards, EventValueFunction.zero()))
 
     def test_round_trip(self):
         j, calib, doc = self.calibrated_doc()
@@ -200,9 +206,11 @@ class TestRewardDoc:
 
     def test_serialized_round_trip_is_exact(self):
         j, calib, doc = self.calibrated_doc()
-        reparsed = json.loads(dumps_report(doc))
-        loaded = reward_from_doc(reparsed, j)
+        loaded = reward_from_doc(doc, j)
         assert loaded.rewards.entries == calib.rewards.entries
+        # the text is what the generic renderer makes of the parsed document
+        text = reward_to_text(2.0, calib.rewards, EventValueFunction.zero())
+        assert dumps_report(doc) == text
 
     def test_missing_entry_suggests_fill_zero(self):
         j, _, doc = self.calibrated_doc()
@@ -252,7 +260,7 @@ class TestInteractionDoc:
     def test_round_trip_with_null_cell(self):
         j = sparse_joint()
         table = identify_interaction(j, FWD)
-        doc = json.loads(dumps_report(interaction_to_doc(table, alpha=1.5)))
+        doc = json.loads(interaction_to_text(table, alpha=1.5))
         alpha, back = interaction_from_doc(doc, j)
         assert alpha == 1.5
         assert back.values == table.values
@@ -261,14 +269,14 @@ class TestInteractionDoc:
 
     def test_alpha_optional(self):
         j = joint_f3()
-        doc = interaction_to_doc(identify_interaction(j, FWD))
+        doc = json.loads(interaction_to_text(identify_interaction(j, FWD)))
         assert "alpha" not in doc
         alpha, _ = interaction_from_doc(doc, j)
         assert alpha is None
 
     def test_only_minus_inf_string_allowed(self):
         j = joint_f3()
-        doc = interaction_to_doc(identify_interaction(j, FWD))
+        doc = json.loads(interaction_to_text(identify_interaction(j, FWD)))
         doc["entries"][0]["i"] = "inf"
         with pytest.raises(SchemaError, match="'i'"):
             interaction_from_doc(doc, j)
@@ -438,3 +446,78 @@ class TestRendering:
     def test_unsupported_type_rejected(self):
         with pytest.raises(SoftTiltError, match="cannot serialize"):
             dumps_report({"s": {1, 2}})
+
+
+# names and labels holding what JSON escapes: quotes, backslashes, control
+# and non-ASCII characters (one outside the BMP), and braces
+_TEXT = st.text(
+    st.sampled_from('aZ"\\{}\x00\x1f\x7f\u00e9\u2192\U0001f600 '), min_size=1, max_size=3
+)
+_VALUES = st.one_of(
+    st.sampled_from((
+        -0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
+        0.12345678901234568, -9.8765432109876543e-5, 1.0, 3.0,
+    )),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _tables(draw, values):
+    """A direction over 2-4 variables, some of its groups multi-variable, and a
+    table with a random subset of its (context, outcome) cells, maybe none."""
+    names = draw(st.lists(_TEXT, min_size=2, max_size=4, unique=True))
+    n_target = draw(st.integers(1, len(names) - 1))
+    n_observed = draw(st.integers(1, len(names) - n_target))
+    direction = Direction(
+        target=tuple(names[:n_target]),
+        base=tuple(names[n_target + n_observed:]),
+        observed=tuple(names[n_target:n_target + n_observed]),
+    )
+    specs = {
+        name: VariableSpec(name, tuple(draw(st.lists(_TEXT, min_size=1, max_size=2, unique=True))))
+        for name in names
+    }
+    outcomes = list(iter_group_assignments(specs[n] for n in direction.target))
+    rows = {}
+    for ctx in iter_group_assignments(specs[n] for n in direction.conditioning):
+        if draw(st.booleans()):
+            rows[ctx] = {o: draw(values) for o in outcomes if draw(st.booleans())}
+    return direction, rows
+
+
+class TestTableWriter:
+    """The reward and interaction writers against `dumps_report` of a plain dict."""
+
+    @seed(0x7AB1E)
+    @settings(max_examples=80)
+    @given(
+        table=_tables(st.one_of(_VALUES, st.just(-math.inf))), alpha=st.one_of(st.none(), _VALUES)
+    )
+    def test_interaction_text_matches_reference(self, table, alpha):
+        direction, rows = table
+        want = ref_table_doc(direction, alpha, rows, lambda ctx, outcome, i: {
+            "i": "-inf" if i == -math.inf else i
+        })
+        assert interaction_to_text(InteractionTable(direction, rows), alpha) == dumps_report(want)
+
+    @seed(0x7AB1F)
+    @settings(max_examples=80)
+    @given(table=_tables(_VALUES), alpha=_VALUES, data=st.data())
+    def test_reward_text_matches_reference(self, table, alpha, data):
+        direction, rows = table
+        # each cell's terminal value, from the function's entries or its default
+        default = data.draw(_VALUES)
+        terminal = {
+            (ctx, outcome): data.draw(st.one_of(st.none(), _VALUES))
+            for ctx, row in rows.items() for outcome in row
+        }
+        terminals = EventValueFunction(
+            {outcome.union(ctx): v for (ctx, outcome), v in terminal.items() if v is not None},
+            default=default,
+        )
+        want = ref_table_doc(direction, alpha, rows, lambda ctx, outcome, r: {
+            "r": r, "V": default if terminal[ctx, outcome] is None else terminal[ctx, outcome]
+        })
+        text = reward_to_text(alpha, RewardTable(direction, rows), terminals)
+        assert text == dumps_report(want)
