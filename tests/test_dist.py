@@ -34,6 +34,7 @@ from helpers import (
     ref_marginal,
     ref_pmi,
     sparse_joint,
+    sparse_random_joint,
 )
 
 B = ("0", "1")
@@ -243,42 +244,6 @@ def _outcome(call):
         return type(exc)
 
 
-# masses far below the normal range and the big masses they sit beside, so
-# that ratios of products overflow a double or fall below its normal range
-_TINY = (5e-324, 1e-320, 2.5e-310, 1e-300, 3e-200)
-_BIG = ((1.0,), (0.5, 0.5), (0.75, 0.25), (0.625, 0.25, 0.125))
-
-
-def _sparse_random_joint(rng: random.Random) -> JointTable:
-    """1-4 variables of 1-3 labels each, about a third of the cells zero.
-
-    The masses are one of: integers over one common total, exactly one or off
-    it by about 1e-15 as JSON input can be; fractions with unrelated
-    denominators that sum to exactly one; or doubles, a few big ones beside
-    subnormal and tiny ones, within 1e-12 of one.
-    """
-    names = rng.sample(["W", "X", "Y", "Z"], rng.randint(1, 4))
-    specs = [VariableSpec(n, tuple(str(i) for i in range(rng.randint(1, 3)))) for n in names]
-    cells = list(iter_group_assignments(specs))
-    kind = rng.choice(("common", "lcm", "extreme"))
-    if kind == "extreme":
-        big = rng.choice([b for b in _BIG if len(b) <= len(cells)])
-        masses = [0.0 if rng.random() < 0.35 else rng.choice(_TINY) for _ in cells]
-        for i, p in zip(rng.sample(range(len(cells)), len(big)), big):
-            masses[i] = p
-        return JointTable(specs, list(zip(cells, masses)))
-    if kind == "lcm":
-        raw = [0 if rng.random() < 0.35 else Fraction(rng.randint(1, 999), rng.randint(1, 999))
-               for _ in cells]
-        raw[rng.randrange(len(raw))] = Fraction(rng.randint(1, 999), rng.randint(1, 999))
-        total = sum(raw)
-        return JointTable(specs, [(c, w / total) for c, w in zip(cells, raw)])
-    raw = [0 if rng.random() < 0.35 else rng.randint(10**14, 10**15) for _ in cells]
-    raw[rng.randrange(len(raw))] = rng.randint(10**14, 10**15)
-    total = sum(raw) + rng.randint(-1, 1)
-    return JointTable(specs, [(c, Fraction(w, total)) for c, w in zip(cells, raw)])
-
-
 def _random_event(rng: random.Random, joint: JointTable, names) -> dict[str, str]:
     return {n: rng.choice(joint.variable(n).alphabet) for n in names}
 
@@ -292,7 +257,7 @@ class TestKernelAgainstScan:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_interleaved_queries_match_reference(self, case):
         rng = random.Random(case)
-        j = _sparse_random_joint(rng)
+        j = sparse_random_joint(rng)
         names = list(j.names)
         for _ in range(24):
             kind = rng.choice(("marginal", "event_mass", "conditional", "pmi"))

@@ -1,12 +1,13 @@
-"""Error lines for binding faults and bad flag values, pinned byte for byte.
+"""Error lines for binding faults, bad flag values and faults between the
+commute check's two reward files, pinned byte for byte.
 
 Each case writes one faulty input next to the bundled f3 joint (X, Y, Z over
-"0"/"1"), or passes one bad flag value, runs it through main() in process and
-pins the exit code and the exact stderr line; stdout stays empty. The bindings
-a message names (such as X=0,Y=0,Z=0) are part of the pin, so a reader that
-renders a raw dict or reorders its checks fails here. Files the loader cannot
-read pin only the line's `error: <path>: ` prefix, since the rest is the
-wording of the Python version's own exception.
+"0"/"1") or the sparse helper joint, or passes one bad flag value, runs it
+through main() in process and pins the exit code and the exact stderr line;
+stdout stays empty. The bindings a message names (such as X=0,Y=0,Z=0) are
+part of the pin, so a reader that renders a raw dict or reorders its checks
+fails here. Files the loader cannot read pin only the line's `error: <path>: `
+prefix, since the rest is the wording of the Python version's own exception.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import pytest
 
 from softtilt import countable, fixture_path
 from softtilt.cli import main
+from softtilt.io import joint_to_doc
+from helpers import sparse_joint
 
 F3 = str(fixture_path("f3.json"))
 BITS = ("0", "1")
@@ -262,3 +265,47 @@ def test_bad_flag_values(capsys, tmp_path, monkeypatch, label, argv, err):
     argv = [arg.format(**files) for arg in argv]
     assert run(capsys, argv) == (2, "", err)
     assert list(tmp_path.glob("out*")) == []
+
+
+def identified(capsys, tmp_path, joint: str, tag: str) -> dict:
+    """The rewards document `identify` writes for a direction of the joint."""
+    prefix = tmp_path / tag
+    assert main(["identify", joint, "--direction", tag, "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    with open(f"{prefix}.rewards.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_commute_triple_coverage_mismatch(capsys, tmp_path):
+    # rows at the zero-mass context Y=1,Z=0 give the forward table two triples
+    # that the swapped table cannot have, since P(Z=0 | Y=1) = 0
+    joint = write(tmp_path / "sparse.json", joint_to_doc(sparse_joint()))
+    fwd = identified(capsys, tmp_path, joint, "x_given_yz")
+    fwd["entries"] += [
+        {"context": {"Y": "1", "Z": "0"}, "outcome": {"X": x}, "r": 0.0, "V": 0.0}
+        for x in BITS
+    ]
+    swp = identified(capsys, tmp_path, joint, "z_given_yx")
+    argv = ["check", joint, "--rewards", write(tmp_path / "fwd.json", fwd),
+            "--rewards-swapped", write(tmp_path / "swp.json", swp),
+            "--checks", "commute", "--fill-zero"]
+    assert run(capsys, argv) == (4, "", (
+        "error: tables cover different triples (2 forward-only, 0 swapped-only; "
+        "e.g. X=0,Y=1,Z=0)\n"
+    ))
+
+
+def test_commute_terminal_values_disagree(capsys, tmp_path):
+    # two events disagree, listed against canonical order: the first in canonical order is named
+    swp = identified(capsys, tmp_path, F3, "z_given_yx")
+    swp["entries"].reverse()
+    for entry in swp["entries"]:
+        event = {**entry["context"], **entry["outcome"]}
+        if event in ({"X": "0", "Y": "0", "Z": "1"}, {"X": "1", "Y": "1", "Z": "0"}):
+            entry["V"] = 0.5
+    fwd = identified(capsys, tmp_path, F3, "x_given_yz")
+    argv = ["check", F3, "--rewards", write(tmp_path / "fwd.json", fwd),
+            "--rewards-swapped", write(tmp_path / "swp.json", swp), "--checks", "commute"]
+    assert run(capsys, argv) == (
+        4, "", "error: terminal values disagree at event X=0,Y=0,Z=1: 0.0 vs 0.5\n"
+    )
