@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Sequence
 
-from .coherence import DirectionPair, EventValueFunction, build_problem, order_independence_check
+from .coherence import DirectionPair, EventValueFunction, _problem, order_independence_check
 from .countable import DEFAULT_MAX_DOUBLINGS, DEFAULT_START, log_normalizer_truncated
 from .dist import Assignment, DistVector, JointTable
 from .errors import (
@@ -71,10 +71,10 @@ def _obj(assignment: Assignment) -> dict:
     return dict(assignment.items_sorted)
 
 
-def _contexts(joint: JointTable, direction: Direction) -> list[tuple[Assignment, bool]]:
-    """Every context of a direction in canonical order, with whether its mass is positive."""
+def _contexts(joint: JointTable, direction: Direction) -> list[tuple[int, Assignment, bool]]:
+    """Each context of a direction in canonical order: (`_split` index, context, mass > 0)."""
     s = _split(joint, direction)
-    return [(s.contexts[ci], s.m_cond[ci] > 0) for ci in s.order]
+    return [(ci, s.contexts[ci], s.m_cond[ci] > 0) for ci in s.order]
 
 
 def _render(doc) -> str:
@@ -121,7 +121,7 @@ def _dist_entries(dist: DistVector) -> list[dict]:
 
 def _zero_rewards(joint: JointTable, direction: Direction) -> RewardTable:
     outcomes = _split(joint, direction).outcomes
-    entries = {ctx: dict.fromkeys(outcomes, 0.0) for ctx, _ in _contexts(joint, direction)}
+    entries = {ctx: dict.fromkeys(outcomes, 0.0) for _, ctx, _ in _contexts(joint, direction)}
     return RewardTable(direction=direction, entries=entries, convention="zero rewards")
 
 
@@ -134,7 +134,7 @@ def _tol(args) -> float | None:
 
 def _require_context_coverage(joint: JointTable, direction: Direction, rows, label: str) -> None:
     """Every positive-mass context needs a row; `_Split.aligned` checks the row's outcomes."""
-    for ctx, positive in _contexts(joint, direction):
+    for _, ctx, positive in _contexts(joint, direction):
         if positive and ctx not in rows:
             raise CoverageMismatch(f"{label} has no entries for positive-mass context {ctx}")
 
@@ -154,9 +154,10 @@ def cmd_solve(args) -> int:
         alpha = args.alpha if args.alpha is not None else 1.0
         rewards, terminals = _zero_rewards(joint, direction), EventValueFunction.zero()
     config = SolverConfig(alpha=alpha)
+    s = _split(joint, direction)
     entries = []
     skipped = []
-    for ctx, positive in _contexts(joint, direction):
+    for ci, ctx, positive in _contexts(joint, direction):
         if not positive:
             if not args.skip_zero_mass:
                 raise ZeroMassContext(
@@ -165,7 +166,7 @@ def cmd_solve(args) -> int:
                 )
             skipped.append({"context": _obj(ctx), "reason": "zero conditioning mass"})
             continue
-        solution = solve_tilt(build_problem(joint, terminals, config, rewards, ctx))
+        solution = solve_tilt(_problem(s, ci, rewards.entries.get(ctx), terminals, config))
         entries.append(
             {
                 "context": _obj(ctx),
@@ -193,7 +194,7 @@ def cmd_identify(args) -> int:
 
     skipped = [
         {"context": _obj(ctx), "reason": "zero conditioning mass"}
-        for ctx, positive in _contexts(joint, direction)
+        for _, ctx, positive in _contexts(joint, direction)
         if not positive
     ]
     excluded = [
@@ -287,23 +288,22 @@ def _check_admissibility(
         source = "identified from joint"
     residuals = check_admissibility(table, joint)
     skipped = [
-        (ctx, "zero conditioning mass") for ctx, positive in _contexts(joint, table.direction)
+        (ctx, "zero conditioning mass") for _, ctx, positive in _contexts(joint, table.direction)
         if not positive
     ]
     return _check_doc("admissibility", tolerance, residuals, skipped, {"source": source})
 
 
 def _merge_terminals(a: EventValueFunction, b: EventValueFunction) -> EventValueFunction:
-    merged = {event: a.value(event) for event in a.events()}
-    for event in b.events():
-        v = b.value(event)
-        if event in merged and abs(merged[event] - v) > 1e-12:
-            raise CoverageMismatch(
-                f"terminal values disagree at event {event}: {merged[event]!r} vs {v!r}"
-            )
-        merged.setdefault(event, v)
-    default = a.default if a.default is not None else b.default
-    return EventValueFunction(merged, default=default)
+    """a's values, and b's where a has none; values over 1e-12 apart are a CoverageMismatch."""
+    ours, theirs = a._entries, b._entries
+    clash = [e for e, v in theirs.items() if e in ours and abs(ours[e] - v) > 1e-12]
+    if clash:
+        event = min(clash, key=lambda e: e.items_sorted)
+        raise CoverageMismatch(
+            f"terminal values disagree at event {event}: {ours[event]!r} vs {theirs[event]!r}"
+        )
+    return EventValueFunction._of({**theirs, **ours}, b.default if a.default is None else a.default)
 
 
 def _check_commute(
@@ -322,12 +322,8 @@ def _check_commute(
             f"alpha disagrees between reward files: {loaded.alpha!r} vs {swapped.alpha!r}"
         )
     terminals = _merge_terminals(loaded.terminals, swapped.terminals)
-    pair = DirectionPair(
-        joint=joint,
-        values=terminals,
-        config=SolverConfig(alpha=loaded.alpha),
-        forward=loaded.direction,
-    )
+    config = SolverConfig(alpha=loaded.alpha)
+    pair = DirectionPair(joint=joint, values=terminals, config=config, forward=loaded.direction)
     report = order_independence_check(pair, loaded.rewards, swapped.rewards, tol=tol)
     details = {
         "identification_max": {
@@ -344,13 +340,14 @@ def _check_commute(
 
 def _check_decomposition(joint: JointTable, loaded: LoadedRewards, tol: float) -> dict:
     config = SolverConfig(alpha=loaded.alpha)
+    s = _split(joint, loaded.direction)
     residuals: dict[Assignment, float] = {}
     skipped: list[tuple[Assignment, str]] = []
-    for ctx, positive in _contexts(joint, loaded.direction):
+    for ci, ctx, positive in _contexts(joint, loaded.direction):
         if not positive:
             skipped.append((ctx, "zero conditioning mass"))
             continue
-        problem = build_problem(joint, loaded.terminals, config, loaded.rewards, ctx)
+        problem = _problem(s, ci, loaded.rewards.entries.get(ctx), loaded.terminals, config)
         solution = solve_tilt(problem)
         probes = [problem.prior, solution.optimizer]
         for i, p in enumerate(problem.prior.probs):

@@ -54,6 +54,13 @@ class EventValueFunction:
         self._default = None if default is None else float(default)
 
     @classmethod
+    def _of(cls, entries: dict, default: float | None = None) -> "EventValueFunction":
+        """Trusted constructor: entries map distinct events to floats, none NaN."""
+        values = object.__new__(cls)
+        values._entries, values._default = entries, default
+        return values
+
+    @classmethod
     def zero(cls) -> "EventValueFunction":
         return cls((), default=0.0)
 
@@ -118,12 +125,15 @@ def build_problem(
             f"context must bind exactly {sorted(direction.conditioning)!r}, got {ctx}"
         )
     s = _split(joint, direction)
-    ci = s.locate(ctx)
+    return _problem(s, s.locate(ctx), rewards.entries.get(ctx), values, config)
+
+
+def _problem(s, ci: int, row, values: EventValueFunction, config: SolverConfig) -> SoftUpdateProblem:
+    """`build_problem` at context index ci of a `_Split`, given the context's reward row or None."""
     if s.m_cond[ci] == 0:
-        raise ZeroMassContext(f"conditioning event {ctx} has zero probability")
-    row = rewards.entries.get(ctx)
+        raise ZeroMassContext(f"conditioning event {s.contexts[ci]} has zero probability")
     if row is None:
-        raise CoverageMismatch(f"reward table has no entries for context {ctx}")
+        raise CoverageMismatch(f"reward table has no entries for context {s.contexts[ci]}")
     prior, reward = s.aligned(ci, row, "reward table")
     at = s.ctx_full[ci]
     terminal = tuple([
@@ -146,37 +156,50 @@ def commutativity_residual(
     """
     fwd, swp = rewards_fwd.direction, rewards_swp.direction
     if fwd.swapped() != swp:
-        raise CoverageMismatch(
-            f"directions {fwd.tag!r} and {swp.tag!r} are not swaps of each other"
-        )
-    triples_fwd = _triples(rewards_fwd)
-    triples_swp = _triples(rewards_swp)
-    if triples_fwd.keys() != triples_swp.keys():
-        only_f = sorted(triples_fwd.keys() - triples_swp.keys(), key=lambda a: a.items_sorted)
-        only_s = sorted(triples_swp.keys() - triples_fwd.keys(), key=lambda a: a.items_sorted)
+        raise CoverageMismatch(f"directions {fwd.tag!r} and {swp.tag!r} are not swaps of each other")
+    v_fwd, v_swp = (
+        {as_assignment(k): float(v) for k, v in dict(m).items()} for m in (values_fwd, values_swp)
+    )
+    return _commutativity(_triples(rewards_fwd), v_fwd, _triples(rewards_swp), v_swp, lambda t: t)
+
+
+def _triples(table: RewardTable) -> dict[Assignment, tuple[Assignment, float]]:
+    """Each entry's full event, mapped to its context and reward."""
+    return {ctx.union(o): (ctx, r) for ctx, row in table.entries.items() for o, r in row.items()}
+
+
+def _cells(s, table: RewardTable) -> dict[int, tuple[Assignment, float]]:
+    """Each entry's full-group cell index in a `_Split`, mapped to its context and reward."""
+    try:
+        return {
+            s.ctx_full[s.ctx_index[ctx]] + s.out_full[s.outcome_index[o]]: (ctx, r)
+            for ctx, row in table.entries.items() for o, r in row.items()
+        }
+    except KeyError:
+        raise CoverageMismatch(f"{table.direction.tag} table has entries off its grid") from None
+
+
+def _commutativity(fwd: dict, values_fwd, swp: dict, values_swp, event) -> dict[Assignment, float]:
+    """Per-triple residuals of two maps of a triple's key to (context, r), and of the tables'
+    context values V; event(key) is the triple's full event, which keys the result."""
+    if fwd.keys() != swp.keys():
+        only_f = sorted(map(event, fwd.keys() - swp.keys()), key=lambda a: a.items_sorted)
+        only_s = sorted(map(event, swp.keys() - fwd.keys()), key=lambda a: a.items_sorted)
         example = (only_f or only_s)[0]
         raise CoverageMismatch(
             f"tables cover different triples ({len(only_f)} forward-only, "
             f"{len(only_s)} swapped-only; e.g. {example})"
         )
-    values_fwd = {as_assignment(k): float(v) for k, v in dict(values_fwd).items()}
-    values_swp = {as_assignment(k): float(v) for k, v in dict(values_swp).items()}
     residuals: dict[Assignment, float] = {}
-    for triple in sorted(triples_fwd, key=lambda a: a.items_sorted):
-        (ctx_f, out_f), (ctx_s, out_s) = triples_fwd[triple], triples_swp[triple]
-        if ctx_f not in values_fwd:
+    for key in sorted(fwd, key=lambda k: event(k).items_sorted):
+        (ctx_f, r_f), (ctx_s, r_s) = fwd[key], swp[key]
+        v_f, v_s = values_fwd.get(ctx_f), values_swp.get(ctx_s)
+        if v_f is None:
             raise MissingContext(f"forward context values miss {ctx_f}")
-        if ctx_s not in values_swp:
+        if v_s is None:
             raise MissingContext(f"swapped context values miss {ctx_s}")
-        lhs = rewards_fwd.entries[ctx_f][out_f] - values_fwd[ctx_f]
-        rhs = rewards_swp.entries[ctx_s][out_s] - values_swp[ctx_s]
-        residuals[triple] = abs(lhs - rhs)
+        residuals[event(key)] = abs((r_f - v_f) - (r_s - v_s))
     return residuals
-
-
-def _triples(table: RewardTable) -> dict[Assignment, tuple[Assignment, Assignment]]:
-    """Each entry's full event, mapped to its (context, outcome) key."""
-    return {ctx.union(o): (ctx, o) for ctx, row in table.entries.items() for o in row}
 
 
 @dataclass
@@ -210,7 +233,7 @@ def order_independence_check(
     if rewards_swp.direction != pair.swapped:
         raise ValidationError("swapped reward table does not match the pair's direction")
     identification: dict[str, dict[Assignment, float]] = {}
-    context_values: dict[str, dict[Assignment, float]] = {}
+    sides = []  # per direction: (context, r) by full-group cell index, and V by context
     interactions: list[dict[int, float]] = []  # per direction, keyed by full-group cell index
     for direction, table in ((pair.forward, rewards_fwd), (pair.swapped, rewards_swp)):
         s = _split(pair.joint, direction)
@@ -221,12 +244,12 @@ def order_independence_check(
             if not p_ctx:
                 continue
             ctx, at = s.contexts[ci], s.ctx_full[ci]
-            solution = solve_tilt(build_problem(pair.joint, pair.values, pair.config, table, ctx))
+            solution = solve_tilt(_problem(s, ci, table.entries.get(ctx), pair.values, pair.config))
             bayes = DistVector(s.target_specs, tuple(s.m_full[at + o] / p_ctx for o in s.out_full))
             residuals[ctx] = total_variation(solution.optimizer, bayes)
             v_map[ctx] = solution.soft_value
         identification[direction.tag] = residuals
-        context_values[direction.tag] = v_map
+        sides.append((_cells(s, table), v_map))
         interactions.append({
             s.ctx_full[ci] + s.out_full[ti]: v
             for ci, row in _interactions(s)
@@ -241,12 +264,7 @@ def order_independence_check(
         if value > -math.inf:
             symmetry[events[cell]] = abs(value - swp_cells[cell])
 
-    commutativity = commutativity_residual(
-        rewards_fwd,
-        context_values[pair.forward.tag],
-        rewards_swp,
-        context_values[pair.swapped.tag],
-    )
+    commutativity = _commutativity(*sides[0], *sides[1], events.__getitem__)
 
     skipped = [(event, "zero joint mass") for event, m in zip(events, m_full) if not m]
 

@@ -114,7 +114,7 @@ class _Split:
                 self.ctx_base[at + o] = bi
         self.target, self.cond = target, cond
         self.target_specs = tuple(joint.variables[v] for v in target)
-        self.outcomes, self.outcome_order, _ = _grid(joint, target)
+        self.outcomes, self.outcome_order, self.outcome_index = _grid(joint, target)
         self.contexts, self.order, self.ctx_index = _grid(joint, cond)
         self.events = _grid(joint, full)[0]
         self.bases = _grid(joint, base)[0]

@@ -285,7 +285,7 @@ def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRe
         alpha=alpha,
         direction=direction,
         rewards=rewards,
-        terminals=EventValueFunction(events),
+        terminals=EventValueFunction._of(events),
     )
 
 

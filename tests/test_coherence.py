@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -31,6 +32,10 @@ from softtilt import (
     solve_tilt,
     total_variation,
 )
+from softtilt.cli import _merge_terminals
+from softtilt.coherence import _problem
+from softtilt.identify import _split
+from softtilt.io import reward_from_doc, reward_to_text
 from helpers import random_baseline, random_joint, random_terminals, sparse_joint
 
 FWD = Direction(target=("X",), base=("Y",), observed=("Z",))
@@ -298,3 +303,110 @@ class TestOrderIndependence:
         pair = self.make_pair(j, zero)
         with pytest.raises(ValidationError):
             order_independence_check(pair, swp.rewards, fwd.rewards)
+
+    def test_entry_off_the_grid_raises(self, rng):
+        j = random_joint(rng)
+        zero = EventValueFunction.zero()
+        fwd, swp = calibrated_pair(j, zero)
+        entries = {c: dict(row) for c, row in fwd.rewards.entries.items()}
+        entries[fwd.rewards.contexts()[0]][Assignment({"Y": "0"})] = 0.0
+        stray = RewardTable(direction=FWD, entries=entries)
+        with pytest.raises(CoverageMismatch, match="^x_given_yz table has entries off its grid$"):
+            order_independence_check(self.make_pair(j, zero), stray, swp.rewards)
+
+
+class TestFrontDoors:
+    """order_independence_check indexes each context's problem and each triple by
+    cell; build_problem and commutativity_residual, the public doors, key them by
+    Assignment. Both must give the same problems and residuals, bit for bit."""
+
+    @staticmethod
+    def soft_values(pair, rewards):
+        s = _split(pair.joint, rewards.direction)
+        return {
+            s.contexts[ci]: solve_tilt(build_problem(
+                pair.joint, pair.values, pair.config, rewards, s.contexts[ci]
+            )).soft_value
+            for ci in s.order if s.m_cond[ci]
+        }
+
+    def assert_doors_agree(self, pair, fwd, swp):
+        for rewards in (fwd, swp):
+            s = _split(pair.joint, rewards.direction)
+            for ci in s.order:
+                if s.m_cond[ci]:
+                    ctx = s.contexts[ci]
+                    problem = _problem(s, ci, rewards.entries.get(ctx), pair.values, pair.config)
+                    assert problem == build_problem(
+                        pair.joint, pair.values, pair.config, rewards, ctx
+                    )
+        report = order_independence_check(pair, fwd, swp)
+        public = commutativity_residual(
+            fwd, self.soft_values(pair, fwd), swp, self.soft_values(pair, swp)
+        )
+        assert list(report.commutativity) == list(public)
+        assert [v.hex() for v in report.commutativity.values()] == [
+            v.hex() for v in public.values()
+        ]
+        return report
+
+    def test_random_joints(self, rng):
+        for _ in range(8):
+            j = random_joint(rng)
+            terminals = random_terminals(rng, j)
+            alpha = 10.0 ** rng.uniform(-1.0, 1.0)
+            fwd, swp = calibrated_pair(
+                j, terminals, alpha=alpha,
+                baseline_fwd=random_baseline(rng, j, FWD.conditioning),
+            )
+            # off the gauge class, so that the residuals are not all rounding noise
+            entries = {
+                ctx: {o: r + rng.uniform(-1.0, 1.0) for o, r in row.items()}
+                for ctx, row in fwd.rewards.entries.items()
+            }
+            bumped = RewardTable(direction=FWD, entries=entries)
+            pair = DirectionPair(
+                joint=j, values=terminals, config=SolverConfig(alpha=alpha), forward=FWD
+            )
+            report = self.assert_doors_agree(pair, bumped, swp.rewards)
+            assert report.max_residual > 1e-3
+
+    def sparse_loaded(self, fwd_extra=(), swp_extra=()):
+        """sparse_joint's identified reward files read back with fill_zero, each
+        with extra entries (context, outcome) of reward 0 added first."""
+        j = sparse_joint()
+        loaded = []
+        for direction, extra in ((FWD, fwd_extra), (FWD.swapped(), swp_extra)):
+            calib = calibrate_rewards(j, direction, EventValueFunction.zero(), alpha=1.0)
+            doc = json.loads(reward_to_text(1.0, calib.rewards, EventValueFunction.zero()))
+            doc["entries"] += [
+                {"context": ctx, "outcome": outcome, "r": 0.0, "V": 0.0}
+                for ctx, outcome in extra
+            ]
+            loaded.append(reward_from_doc(doc, j, fill_zero=True))
+        fwd, swp = loaded
+        pair = DirectionPair(
+            joint=j, values=_merge_terminals(fwd.terminals, swp.terminals),
+            config=SolverConfig(alpha=1.0), forward=FWD,
+        )
+        return pair, fwd.rewards, swp.rewards
+
+    def test_sparse_joint_filled_with_zero(self):
+        report = self.assert_doors_agree(*self.sparse_loaded())
+        assert not report.passed  # the filled posterior-null cell breaks coherence
+        assert {str(cell) for cell, _ in report.skipped} == {
+            "X=0,Y=1,Z=0", "X=1,Y=0,Z=0", "X=1,Y=1,Z=0"
+        }
+
+    def test_rows_at_a_zero_mass_context_miss_a_context_value(self):
+        # the forward rows at Y=1,Z=0 meet swapped rows at Z=0 off P(Z | Y=1)'s
+        # support, so the triples agree but no forward context value exists there
+        pair, fwd, swp = self.sparse_loaded(
+            fwd_extra=[({"Y": "1", "Z": "0"}, {"X": x}) for x in "01"],
+            swp_extra=[({"X": x, "Y": "1"}, {"Z": "0"}) for x in "01"],
+        )
+        with pytest.raises(MissingContext, match="^forward context values miss Y=1,Z=0$"):
+            order_independence_check(pair, fwd, swp)
+        with pytest.raises(MissingContext, match="^forward context values miss Y=1,Z=0$"):
+            commutativity_residual(fwd, self.soft_values(pair, fwd), swp,
+                                   self.soft_values(pair, swp))
