@@ -115,6 +115,22 @@ def sparse_random_joint(rng: random.Random, min_vars: int = 1) -> JointTable:
     return JointTable(specs, [(c, Fraction(w, total)) for c, w in zip(cells, raw)])
 
 
+def random_direction(rng: random.Random, names):
+    """A nonempty target, a possibly empty base and one observed variable;
+    variables left over are summed out."""
+    names = list(names)
+    rng.shuffle(names)
+    observed = names.pop()
+    roles = [rng.choice(("target", "base", "out")) for _ in names]
+    roles[0] = "target"
+    target, base = ([n for n, r in zip(names, roles) if r == role] for role in ("target", "base"))
+    return target, base, [observed]
+
+
+def tag(target, conditioning) -> str:
+    return f"{''.join(target).lower()}_given_{''.join(conditioning).lower()}"
+
+
 def dirichlet_probs(rng: random.Random, k: int, allow_zero: bool = False) -> tuple[float, ...]:
     raw = [rng.expovariate(1.0) for _ in range(k)]
     if allow_zero and k > 1 and rng.random() < 0.3:

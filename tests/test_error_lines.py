@@ -63,6 +63,14 @@ def with_extra_entry(value_key: str, entry) -> dict:
     return doc
 
 
+def with_entry_at(value_key: str, at: int, **fields) -> dict:
+    """The document with the fields of entry `at` replaced; the entries before
+    it name their bindings first, so the reader has seen them."""
+    doc = entries_doc(value_key)
+    doc["entries"][at] = {**doc["entries"][at], **fields}
+    return doc
+
+
 # (label, kind, document, exit code, stderr); kind names the file the
 # document is passed as
 JOINT_CASES = [
@@ -122,6 +130,44 @@ ENTRY_CASES = [
      lambda k: with_extra_entry(k, {**entries_doc(k)["entries"][5],
                                     "context": {"Z": "0", "Y": "1"}}), 2,
      "error: duplicate entry at Y=1,Z=0/X=1\n"),
+    # faults met after the same binding objects have been read before
+    ("entry-duplicate-same-spelling",
+     lambda k: with_extra_entry(k, entries_doc(k)["entries"][5]), 2,
+     "error: duplicate entry at Y=1,Z=0/X=1\n"),
+    ("entry-context-reused-as-outcome",
+     lambda k: with_entry_at(k, 2, outcome={"Y": "0", "Z": "0"}), 2,
+     "error: 'outcome' must bind exactly ['X'], got Y=0,Z=0\n"),
+    ("entry-outcome-reused-as-context",
+     lambda k: with_entry_at(k, 2, context={"X": "1"}), 2,
+     "error: 'context' must bind exactly ['Y', 'Z'], got X=1\n"),
+    ("entry-unhashable-label-after-seen-bindings",
+     lambda k: with_entry_at(k, 4, context={"Y": ["1"], "Z": "0"}), 2,
+     "error: 'context' must map strings to strings\n"),
+]
+
+def reversed_without(value_key: str, *cells) -> dict:
+    """The document with its entries reversed and those at the (Y, Z, X) label cells dropped."""
+    doc = entries_doc(value_key)
+    doc["entries"] = [
+        e for e in reversed(doc["entries"])
+        if (e["context"]["Y"], e["context"]["Z"], e["outcome"]["X"]) not in cells
+    ]
+    return doc
+
+
+# value faults, by the file they are in
+VALUE_CASES = [
+    ("rewards-r-true", "--rewards", with_entry_at("r", 3, r=True), 2,
+     "error: 'r' at Y=0,Z=1/X=1 must be a finite number\n"),
+    ("rewards-v-true", "--rewards", with_entry_at("r", 3, V=True), 2,
+     "error: 'V' at Y=0,Z=1/X=1 must be a finite number\n"),
+    ("interaction-i-true", "--interaction", with_entry_at("i", 3, i=True), 2,
+     "error: 'i' at Y=0,Z=1/X=1 must be a number or \"-inf\"\n"),
+    # the first context the file names is checked first, not the first in canonical order
+    ("rewards-two-missing-entries", "--rewards",
+     reversed_without("r", ("1", "1", "1"), ("0", "0", "1")), 4,
+     "error: missing entry for outcome X=1 at context Y=1,Z=1 "
+     "(pass --fill-zero to default missing entries to 0)\n"),
 ]
 
 EVENT_CASES = [
@@ -178,6 +224,14 @@ def test_joint_binding_faults(capsys, tmp_path, label, doc, code, err):
 @pytest.mark.parametrize("label, make, code, err", ENTRY_CASES, ids=[c[0] for c in ENTRY_CASES])
 def test_entry_binding_faults(capsys, tmp_path, command, option, value_key, label, make, code, err):
     path = write(tmp_path / "entries.json", make(value_key))
+    assert run(capsys, [command, F3, option, path]) == (code, "", err)
+
+
+@pytest.mark.parametrize("label, option, doc, code, err", VALUE_CASES,
+                         ids=[c[0] for c in VALUE_CASES])
+def test_entry_value_faults(capsys, tmp_path, label, option, doc, code, err):
+    command = "solve" if option == "--rewards" else "construct"
+    path = write(tmp_path / "entries.json", doc)
     assert run(capsys, [command, F3, option, path]) == (code, "", err)
 
 

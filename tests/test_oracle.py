@@ -35,7 +35,14 @@ from hypothesis import strategies as st
 from softtilt import Assignment, iter_group_assignments
 from softtilt.cli import main
 from softtilt.io import joint_from_doc, joint_to_doc
-from helpers import ref_conditional, ref_event_mass, ref_pmi, sparse_random_joint
+from helpers import (
+    random_direction,
+    ref_conditional,
+    ref_event_mass,
+    ref_pmi,
+    sparse_random_joint,
+    tag,
+)
 
 POSTERIOR_TOL = 1e-12
 
@@ -91,22 +98,6 @@ def assert_posteriors(scan: Scan, entries, field: str, contexts) -> None:
         assert len(got) == len(want)
         for outcome, p in zip(scan.outcomes, want):
             assert abs(got[outcome.items_sorted] - p) <= POSTERIOR_TOL, (ctx, outcome)
-
-
-def random_direction(rng: random.Random, names):
-    """A nonempty target, a possibly empty base and one observed variable;
-    variables left over are summed out."""
-    names = list(names)
-    rng.shuffle(names)
-    observed = names.pop()
-    roles = [rng.choice(("target", "base", "out")) for _ in names]
-    roles[0] = "target"
-    target, base = ([n for n, r in zip(names, roles) if r == role] for role in ("target", "base"))
-    return target, base, [observed]
-
-
-def tag(target, conditioning) -> str:
-    return f"{''.join(target).lower()}_given_{''.join(conditioning).lower()}"
 
 
 class TestOracle:
