@@ -22,9 +22,9 @@ import os
 import sys
 from typing import Sequence
 
-from .coherence import DirectionPair, EventValueFunction, _problem, order_independence_check
+from .coherence import EventValueFunction, _audit, _problem
 from .countable import DEFAULT_MAX_DOUBLINGS, DEFAULT_START, log_normalizer_truncated
-from .dist import Assignment, DistVector, JointTable
+from .dist import Assignment, DistVector, JointTable, _trusted
 from .errors import (
     CoverageMismatch,
     OutputError,
@@ -36,27 +36,26 @@ from .identify import (
     ADMIT_TOL,
     IDENTITY_TOL,
     Direction,
-    RewardTable,
+    _admissibility,
+    _interactions,
     _posterior_and_residual,
     _split,
     calibrate_rewards,
-    check_admissibility,
     default_direction,
     gauge_equivalent,
-    identify_interaction,
 )
 from .io import (
-    LoadedRewards,
+    _loaded,
+    _read_rows,
+    _Rows,
     baseline_from_doc,
     direction_fields,
     direction_from_tag,
     dumps_report,
     family_from_doc,
-    interaction_from_doc,
     interaction_to_text,
     joint_from_doc,
     load_json,
-    reward_from_doc,
     reward_to_text,
     values_from_doc,
 )
@@ -119,12 +118,6 @@ def _dist_entries(dist: DistVector) -> list[dict]:
     return [{"outcome": _obj(o), "q": float(p)} for o, p in rows]
 
 
-def _zero_rewards(joint: JointTable, direction: Direction) -> RewardTable:
-    outcomes = _split(joint, direction).outcomes
-    entries = {ctx: dict.fromkeys(outcomes, 0.0) for _, ctx, _ in _contexts(joint, direction)}
-    return RewardTable(direction=direction, entries=entries, convention="zero rewards")
-
-
 def _tol(args) -> float | None:
     """The --tol flag, None when not given; it must be finite and >= 0."""
     if args.tol is not None and not 0 <= args.tol < math.inf:
@@ -132,11 +125,14 @@ def _tol(args) -> float | None:
     return args.tol
 
 
-def _require_context_coverage(joint: JointTable, direction: Direction, rows, label: str) -> None:
+def _require_context_coverage(table: _Rows, label: str) -> None:
     """Every positive-mass context needs a row; `_Split.aligned` checks the row's outcomes."""
-    for _, ctx, positive in _contexts(joint, direction):
-        if positive and ctx not in rows:
-            raise CoverageMismatch(f"{label} has no entries for positive-mass context {ctx}")
+    s = table.split
+    for ci in s.order:
+        if s.m_cond[ci] and ci not in table.rows:
+            raise CoverageMismatch(
+                f"{label} has no entries for positive-mass context {s.contexts[ci]}"
+            )
 
 
 # ------------------------------------------------------------------ solve
@@ -144,17 +140,23 @@ def _require_context_coverage(joint: JointTable, direction: Direction, rows, lab
 def cmd_solve(args) -> int:
     joint = _load_joint(args.joint)
     if args.rewards:
-        loaded = reward_from_doc(load_json(args.rewards), joint, fill_zero=args.fill_zero)
-        direction = loaded.direction
-        alpha = args.alpha if args.alpha is not None else loaded.alpha
-        rewards, terminals = loaded.rewards, loaded.terminals
-        _require_context_coverage(joint, direction, rewards.entries, "rewards file")
+        table = _read_rows(load_json(args.rewards), joint, "reward", args.fill_zero)
+        direction, s = table.direction, table.split
+        if args.direction and _pick_direction(args, joint) != direction:
+            raise ValidationError(
+                f"--direction {args.direction!r} does not match "
+                f"the rewards direction {direction.tag!r}"
+            )
+        _require_context_coverage(table, "rewards file")
+        alpha = args.alpha if args.alpha is not None else table.alpha
+        rows, terminals = table.rows, table.terminals
     else:
         direction = _pick_direction(args, joint)
+        s = _split(joint, direction)
         alpha = args.alpha if args.alpha is not None else 1.0
-        rewards, terminals = _zero_rewards(joint, direction), EventValueFunction.zero()
+        rows = dict.fromkeys(range(len(s.contexts)), [0.0] * len(s.outcomes))
+        terminals = [0.0] * len(s.events)
     config = SolverConfig(alpha=alpha)
-    s = _split(joint, direction)
     entries = []
     skipped = []
     for ci, ctx, positive in _contexts(joint, direction):
@@ -166,7 +168,7 @@ def cmd_solve(args) -> int:
                 )
             skipped.append({"context": _obj(ctx), "reason": "zero conditioning mass"})
             continue
-        solution = solve_tilt(_problem(s, ci, rewards.entries.get(ctx), terminals, config))
+        solution = solve_tilt(_problem(s, ci, rows.get(ci), terminals.__getitem__, config, True))
         entries.append(
             {
                 "context": _obj(ctx),
@@ -217,7 +219,7 @@ def cmd_identify(args) -> int:
     prefix = args.out
     _write_files([
         (f"{prefix}.interaction.json", interaction_to_text(calib.interaction, args.alpha) + "\n"),
-        (f"{prefix}.rewards.json", reward_to_text(args.alpha, calib.rewards, terminals) + "\n"),
+        (f"{prefix}.rewards.json", reward_to_text(args.alpha, calib.rewards, terminals, joint) + "\n"),
         (f"{prefix}.report.json", _render(report)),
     ])
     return 0
@@ -249,7 +251,8 @@ def _check_doc(check, tolerance, residuals, skipped=(), details=None, max_residu
     return doc
 
 
-def _check_gauge(joint: JointTable, loaded: LoadedRewards, tol: float) -> dict:
+def _check_gauge(joint: JointTable, table: _Rows, tol: float) -> dict:
+    loaded = _loaded(table)
     fresh = calibrate_rewards(joint, loaded.direction, loaded.terminals, loaded.alpha)
     cmp = gauge_equivalent(
         (loaded.rewards, loaded.terminals), (fresh.rewards, loaded.terminals), joint, tol=tol
@@ -268,50 +271,47 @@ def _check_gauge(joint: JointTable, loaded: LoadedRewards, tol: float) -> dict:
 
 def _check_admissibility(
     joint: JointTable,
-    loaded: LoadedRewards,
+    loaded: _Rows,
     interaction_path: str | None,
     tol: float | None,
 ) -> dict:
+    s = loaded.split
     if interaction_path is not None:
-        _, table = interaction_from_doc(load_json(interaction_path), joint)
+        table = _read_rows(load_json(interaction_path), joint, "interaction")
         if table.direction != loaded.direction:
             raise ValidationError(
                 f"interaction file direction {table.direction.tag!r} does not match "
                 f"the rewards direction {loaded.direction.tag!r}"
             )
-        _require_context_coverage(joint, table.direction, table.values, "interaction file")
+        _require_context_coverage(table, "interaction file")
+        rows = [(ci, table.rows[ci]) for ci in s.order if ci in table.rows]
         tolerance = ADMIT_TOL if tol is None else tol
         source = "external file"
     else:
-        table = identify_interaction(joint, loaded.direction)
+        rows = _interactions(s)
         tolerance = IDENTITY_TOL if tol is None else tol
         source = "identified from joint"
-    residuals = check_admissibility(table, joint)
-    skipped = [
-        (ctx, "zero conditioning mass") for _, ctx, positive in _contexts(joint, table.direction)
-        if not positive
-    ]
+    residuals = _admissibility(s, rows)
+    skipped = [(s.contexts[ci], "zero conditioning mass") for ci in s.order if not s.m_cond[ci]]
     return _check_doc("admissibility", tolerance, residuals, skipped, {"source": source})
 
 
-def _merge_terminals(a: EventValueFunction, b: EventValueFunction) -> EventValueFunction:
-    """a's values, and b's where a has none; values over 1e-12 apart are a CoverageMismatch."""
-    ours, theirs = a._entries, b._entries
-    clash = [e for e, v in theirs.items() if e in ours and abs(ours[e] - v) > 1e-12]
+def _merge_terminals(s, ours: list, theirs: list) -> list:
+    """V per full-group cell index: ours, and theirs where ours has none; values
+    over 1e-12 apart are a CoverageMismatch at the first such event in canonical order."""
+    clash = [
+        cell for cell, (a, b) in enumerate(zip(ours, theirs))
+        if a is not None and b is not None and abs(a - b) > 1e-12
+    ]
     if clash:
-        event = min(clash, key=lambda e: e.items_sorted)
+        cell = min(clash, key=lambda c: s.events[c].items_sorted)
         raise CoverageMismatch(
-            f"terminal values disagree at event {event}: {ours[event]!r} vs {theirs[event]!r}"
+            f"terminal values disagree at event {s.events[cell]}: {ours[cell]!r} vs {theirs[cell]!r}"
         )
-    return EventValueFunction._of({**theirs, **ours}, b.default if a.default is None else a.default)
+    return [b if a is None else a for a, b in zip(ours, theirs)]
 
 
-def _check_commute(
-    joint: JointTable,
-    loaded: LoadedRewards,
-    swapped: LoadedRewards,
-    tol: float,
-) -> dict:
+def _check_commute(joint: JointTable, loaded: _Rows, swapped: _Rows, tol: float) -> dict:
     if swapped.direction != loaded.direction.swapped():
         raise ValidationError(
             f"--rewards-swapped direction {swapped.direction.tag!r} is not the swap "
@@ -321,10 +321,12 @@ def _check_commute(
         raise ValidationError(
             f"alpha disagrees between reward files: {loaded.alpha!r} vs {swapped.alpha!r}"
         )
-    terminals = _merge_terminals(loaded.terminals, swapped.terminals)
+    s = loaded.split
+    # both directions cover the same variables, so their cell indices agree
+    terminals = _merge_terminals(s, loaded.terminals, swapped.terminals)
     config = SolverConfig(alpha=loaded.alpha)
-    pair = DirectionPair(joint=joint, values=terminals, config=config, forward=loaded.direction)
-    report = order_independence_check(pair, loaded.rewards, swapped.rewards, tol=tol)
+    report = _audit(joint, loaded.direction, config, terminals.__getitem__,
+                    loaded.rows, swapped.rows, tol, checked=True)
     details = {
         "identification_max": {
             tag: max(row.values(), default=0.0)
@@ -338,22 +340,24 @@ def _check_commute(
     )
 
 
-def _check_decomposition(joint: JointTable, loaded: LoadedRewards, tol: float) -> dict:
+def _check_decomposition(loaded: _Rows, tol: float) -> dict:
     config = SolverConfig(alpha=loaded.alpha)
-    s = _split(joint, loaded.direction)
+    s, terminal = loaded.split, loaded.terminals.__getitem__
     residuals: dict[Assignment, float] = {}
     skipped: list[tuple[Assignment, str]] = []
-    for ci, ctx, positive in _contexts(joint, loaded.direction):
-        if not positive:
+    for ci in s.order:
+        ctx = s.contexts[ci]
+        if not s.m_cond[ci]:
             skipped.append((ctx, "zero conditioning mass"))
             continue
-        problem = _problem(s, ci, loaded.rewards.entries.get(ctx), loaded.terminals, config)
+        problem = _problem(s, ci, loaded.rows.get(ci), terminal, config, checked=True)
         solution = solve_tilt(problem)
+        over, n = problem.prior.over, len(problem.prior.probs)
         probes = [problem.prior, solution.optimizer]
         for i, p in enumerate(problem.prior.probs):
             if p > 0:
-                point = tuple(1.0 if j == i else 0.0 for j in range(len(problem.prior.probs)))
-                probes.append(DistVector(problem.prior.over, point))
+                point = tuple([1.0 if j == i else 0.0 for j in range(n)])
+                probes.append(_trusted(DistVector, over=over, probs=point))
         residuals[ctx] = max(_decomposition_residual(problem, solution, probe) for probe in probes)
     return _check_doc("decomposition", tol, residuals, skipped)
 
@@ -361,13 +365,12 @@ def _check_decomposition(joint: JointTable, loaded: LoadedRewards, tol: float) -
 def cmd_check(args) -> int:
     tol = _tol(args)
     joint = _load_joint(args.joint)
-    loaded = reward_from_doc(load_json(args.rewards), joint, fill_zero=args.fill_zero)
-    _require_context_coverage(joint, loaded.direction, loaded.rewards.entries, "rewards file")
+    loaded = _read_rows(load_json(args.rewards), joint, "reward", args.fill_zero)
+    _require_context_coverage(loaded, "rewards file")
     swapped = None
     if args.rewards_swapped:
-        swapped = reward_from_doc(load_json(args.rewards_swapped), joint, fill_zero=args.fill_zero)
-        rows = swapped.rewards.entries
-        _require_context_coverage(joint, swapped.direction, rows, "--rewards-swapped file")
+        swapped = _read_rows(load_json(args.rewards_swapped), joint, "reward", args.fill_zero)
+        _require_context_coverage(swapped, "--rewards-swapped file")
     if args.checks:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
         unknown = [n for n in names if n not in CHECK_NAMES]
@@ -390,7 +393,7 @@ def cmd_check(args) -> int:
         elif name == "commute":
             reports.append(_check_commute(joint, loaded, swapped, identity_tol))
         elif name == "decomposition":
-            reports.append(_check_decomposition(joint, loaded, identity_tol))
+            reports.append(_check_decomposition(loaded, identity_tol))
     all_passed = all(r["passed"] for r in reports)
     doc = direction_fields(loaded.direction)
     doc.update(
@@ -409,16 +412,19 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     tol = _tol(args)
     joint = _load_joint(args.joint)
-    _, table = interaction_from_doc(load_json(args.interaction), joint)
-    direction = table.direction
-    _require_context_coverage(joint, direction, table.values, "interaction file")
-    s = _split(joint, direction)
+    table = _read_rows(load_json(args.interaction), joint, "interaction")
+    _require_context_coverage(table, "interaction file")
+    s = table.split
     tol_admit = tol if tol is not None else ADMIT_TOL
     entries = []
     skipped = []
-    for ctx in table.contexts():
+    for ci in s.order:
+        row = table.rows.get(ci)
+        if row is None:
+            continue
+        ctx = s.contexts[ci]
         try:
-            prior, signal = s.aligned(s.ctx_index[ctx], table.values[ctx], "interaction table")
+            prior, signal = s.aligned(ci, row, "interaction table")
         except ZeroMassContext:
             if not args.skip_zero_mass:
                 raise
@@ -432,7 +438,7 @@ def cmd_construct(args) -> int:
                 "normalization_residual": residual,
             }
         )
-    doc = direction_fields(direction)
+    doc = direction_fields(table.direction)
     doc.update({"tol_admit": tol_admit, "entries": entries, "skipped": skipped})
     _emit(args.out, doc)
     return 0

@@ -13,7 +13,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .dist import Assignment, DistVector, JointTable, as_assignment, total_variation
+from .dist import Assignment, DistVector, JointTable, _trusted, as_assignment, total_variation
 from .errors import (
     CoverageMismatch,
     MissingContext,
@@ -125,22 +125,30 @@ def build_problem(
             f"context must bind exactly {sorted(direction.conditioning)!r}, got {ctx}"
         )
     s = _split(joint, direction)
-    return _problem(s, s.locate(ctx), rewards.entries.get(ctx), values, config)
+    ci, row = s.locate(ctx), rewards.entries.get(ctx)
+    return _problem(s, ci, None if row is None else s.row(row), _lookup(s, values), config)
 
 
-def _problem(s, ci: int, row, values: EventValueFunction, config: SolverConfig) -> SoftUpdateProblem:
-    """`build_problem` at context index ci of a `_Split`, given the context's reward row or None."""
+def _lookup(s, values: EventValueFunction):
+    """The terminal value at a full-group cell index of a `_Split`."""
+    return lambda cell: float(values.value(s.events[cell]))
+
+
+def _problem(s, ci: int, row, terminal, config: SolverConfig, checked: bool = False) -> SoftUpdateProblem:
+    """`build_problem` at context index ci of a `_Split`, given the context's reward
+    row (in outcome-index order, None where absent) or None, and terminal(cell), the
+    value at a full-group cell index; `checked` values were checked finite when read."""
     if s.m_cond[ci] == 0:
         raise ZeroMassContext(f"conditioning event {s.contexts[ci]} has zero probability")
     if row is None:
         raise CoverageMismatch(f"reward table has no entries for context {s.contexts[ci]}")
     prior, reward = s.aligned(ci, row, "reward table")
     at = s.ctx_full[ci]
-    terminal = tuple([
-        float(values.value(s.events[at + offset])) if p else 0.0
-        for offset, p in zip(s.out_full, prior.probs)
-    ])
-    return SoftUpdateProblem(prior=prior, reward=tuple(reward), terminal=terminal, config=config)
+    values = tuple([terminal(at + offset) if p else 0.0 for offset, p in zip(s.out_full, prior.probs)])
+    if checked:
+        return _trusted(SoftUpdateProblem, prior=prior, reward=tuple(reward), terminal=values,
+                        config=config)
+    return SoftUpdateProblem(prior, tuple(reward), values, config)
 
 
 def commutativity_residual(
@@ -166,17 +174,6 @@ def commutativity_residual(
 def _triples(table: RewardTable) -> dict[Assignment, tuple[Assignment, float]]:
     """Each entry's full event, mapped to its context and reward."""
     return {ctx.union(o): (ctx, r) for ctx, row in table.entries.items() for o, r in row.items()}
-
-
-def _cells(s, table: RewardTable) -> dict[int, tuple[Assignment, float]]:
-    """Each entry's full-group cell index in a `_Split`, mapped to its context and reward."""
-    try:
-        return {
-            s.ctx_full[s.ctx_index[ctx]] + s.out_full[s.outcome_index[o]]: (ctx, r)
-            for ctx, row in table.entries.items() for o, r in row.items()
-        }
-    except KeyError:
-        raise CoverageMismatch(f"{table.direction.tag} table has entries off its grid") from None
 
 
 def _commutativity(fwd: dict, values_fwd, swp: dict, values_swp, event) -> dict[Assignment, float]:
@@ -232,11 +229,25 @@ def order_independence_check(
         raise ValidationError("forward reward table does not match the pair's direction")
     if rewards_swp.direction != pair.swapped:
         raise ValidationError("swapped reward table does not match the pair's direction")
+    rows = []
+    for table in (rewards_fwd, rewards_swp):
+        s = _split(pair.joint, table.direction)
+        entries = table.entries.items()
+        if any(ctx not in s.ctx_index or not row.keys() <= s.outcome_index.keys()
+               for ctx, row in entries):
+            raise CoverageMismatch(f"{table.direction.tag} table has entries off its grid")
+        rows.append({s.ctx_index[ctx]: s.row(row) for ctx, row in entries})
+    return _audit(pair.joint, pair.forward, pair.config, _lookup(s, pair.values), *rows, tol)
+
+
+def _audit(joint, forward, config, terminal, rows_fwd, rows_swp, tol, checked=False):
+    """`order_independence_check` of the reward rows of the forward direction and
+    its swap by `_Split` context index; terminal and checked are `_problem`'s."""
     identification: dict[str, dict[Assignment, float]] = {}
     sides = []  # per direction: (context, r) by full-group cell index, and V by context
     interactions: list[dict[int, float]] = []  # per direction, keyed by full-group cell index
-    for direction, table in ((pair.forward, rewards_fwd), (pair.swapped, rewards_swp)):
-        s = _split(pair.joint, direction)
+    for direction, rows in ((forward, rows_fwd), (forward.swapped(), rows_swp)):
+        s = _split(joint, direction)
         residuals: dict[Assignment, float] = {}
         v_map: dict[Assignment, float] = {}
         for ci in s.order:
@@ -244,16 +255,19 @@ def order_independence_check(
             if not p_ctx:
                 continue
             ctx, at = s.contexts[ci], s.ctx_full[ci]
-            solution = solve_tilt(_problem(s, ci, table.entries.get(ctx), pair.values, pair.config))
-            bayes = DistVector(s.target_specs, tuple(s.m_full[at + o] / p_ctx for o in s.out_full))
+            solution = solve_tilt(_problem(s, ci, rows.get(ci), terminal, config, checked))
+            probs = tuple([s.m_full[at + o] / p_ctx for o in s.out_full])
+            bayes = _trusted(DistVector, over=s.target_specs, probs=probs)
             residuals[ctx] = total_variation(solution.optimizer, bayes)
             v_map[ctx] = solution.soft_value
         identification[direction.tag] = residuals
-        sides.append((_cells(s, table), v_map))
+        sides.append(({
+            s.ctx_full[ci] + o: (s.contexts[ci], r)
+            for ci, row in rows.items() for o, r in zip(s.out_full, row) if r is not None
+        }, v_map))
         interactions.append({
-            s.ctx_full[ci] + s.out_full[ti]: v
-            for ci, row in _interactions(s)
-            for ti, v in row.items()
+            s.ctx_full[ci] + o: v
+            for ci, row in _interactions(s) for o, v in zip(s.out_full, row) if v is not None
         })
 
     # both directions cover the same variables, so their cell indices agree

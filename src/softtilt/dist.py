@@ -360,6 +360,14 @@ class DistVector:
         raise ValidationError(f"{target} is not an outcome of this vector")
 
 
+def _trusted(cls, **fields):
+    """Trusted constructor of a frozen dataclass: fields already valid, as read
+    values checked at the edge or exact quotients, are set without validation."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def marginal(joint: JointTable, keep: Iterable[str]) -> JointTable:
     """Marginalize onto a subset of variables. Exact: no rounding occurs.
 

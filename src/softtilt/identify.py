@@ -20,6 +20,7 @@ from .dist import (
     Assignment,
     DistVector,
     JointTable,
+    _trusted,
     as_assignment,
     iter_group_assignments,
     log_rational,
@@ -139,21 +140,24 @@ class _Split:
             if p_base == 0:
                 raise ZeroMassContext(f"conditioning event {self.bases[bi]} has zero probability")
             probs = tuple(self.m_prior[at + o] / p_base for o in self.out_prior)
-            vec = self._priors[bi] = DistVector(self.target_specs, probs)
+            vec = self._priors[bi] = _trusted(DistVector, over=self.target_specs, probs=probs)
         return vec
 
-    def aligned(self, ci: int, row: Mapping, what: str) -> tuple[DistVector, list[float]]:
-        """Context ci's prior and the row's values in outcome order, 0.0 off the
-        prior's support; the `what` row missing a supported outcome is a CoverageMismatch."""
+    def row(self, values: Mapping) -> list:
+        """A row keyed by outcome as a list in outcome-index order, None where absent."""
+        return [values.get(outcome) for outcome in self.outcomes]
+
+    def aligned(self, ci: int, row: list, what: str) -> tuple[DistVector, list[float]]:
+        """Context ci's prior and the row's values (a list in outcome-index order,
+        None where absent) with 0.0 off the prior's support; the `what` row
+        missing a supported outcome is a CoverageMismatch."""
         prior = self.prior(self.ctx_base[ci])
-        values = []
-        for outcome, p in zip(self.outcomes, prior.probs):
-            if p and outcome not in row:
-                raise CoverageMismatch(
-                    f"{what} misses prior-supported outcome {outcome} "
-                    f"at context {self.contexts[ci]}"
-                )
-            values.append(row[outcome] if p else 0.0)
+        values = [v if p else 0.0 for v, p in zip(row, prior.probs)]
+        if None in values:
+            raise CoverageMismatch(
+                f"{what} misses prior-supported outcome {self.outcomes[values.index(None)]} "
+                f"at context {self.contexts[ci]}"
+            )
         return prior, values
 
 
@@ -178,21 +182,23 @@ def _split(joint: JointTable, direction: Direction) -> _Split:
 
 
 def _interactions(s: _Split):
-    """(context index, {outcome index: value}) per positive-mass context, in
-    canonical context order; outcomes with zero prior conditional are absent."""
+    """(context index, row) per positive-mass context, in canonical context
+    order; a row lists the values in outcome-index order, None where the prior
+    conditional is zero."""
     for ci in s.order:
         p_ctx = s.m_cond[ci]
         if not p_ctx:
             continue
         bi = s.ctx_base[ci]
         p_base, base_at, ctx_at = s.m_base[bi], s.base_prior[bi], s.ctx_full[ci]
-        row: dict[int, float] = {}
-        for ti, (o_prior, o_full) in enumerate(zip(s.out_prior, s.out_full)):
+        row: list[float | None] = []
+        for o_prior, o_full in zip(s.out_prior, s.out_full):
             p_prior = s.m_prior[base_at + o_prior]
             if not p_prior:
-                continue  # prior conditional is zero: cell undefined, not -inf
+                row.append(None)  # prior conditional is zero: cell undefined, not -inf
+                continue
             p_cell = s.m_full[ctx_at + o_full]
-            row[ti] = log_rational(p_cell * p_base, p_ctx * p_prior) if p_cell else -math.inf
+            row.append(log_rational(p_cell * p_base, p_ctx * p_prior) if p_cell else -math.inf)
         yield ci, row
 
 
@@ -285,7 +291,7 @@ def identify_interaction(joint: JointTable, direction: Direction) -> Interaction
     """
     s = _split(joint, direction)
     values = {
-        s.contexts[ci]: {s.outcomes[ti]: v for ti, v in row.items()}
+        s.contexts[ci]: {o: v for o, v in zip(s.outcomes, row) if v is not None}
         for ci, row in _interactions(s)
     }
     return InteractionTable(direction=direction, values=values)
@@ -478,11 +484,15 @@ def _log_normalizer(prior: DistVector, signal: Sequence[float]) -> tuple[list[fl
 def check_admissibility(table: InteractionTable, joint: JointTable) -> dict[Assignment, float]:
     """Per-context |log sum_x P(x|base) exp(i(x))|; zero for any true interaction."""
     s = _split(joint, table.direction)
-    residuals: dict[Assignment, float] = {}
-    for ctx in table.contexts():
-        prior, signal = s.aligned(s.locate(ctx), table.values[ctx], "interaction table")
-        residuals[ctx] = abs(_log_normalizer(prior, signal)[1])
-    return residuals
+    return _admissibility(s, ((s.locate(ctx), s.row(table.values[ctx])) for ctx in table.contexts()))
+
+
+def _admissibility(s: _Split, rows) -> dict[Assignment, float]:
+    """`check_admissibility` over (context index, row) pairs of a `_Split`."""
+    return {
+        s.contexts[ci]: abs(_log_normalizer(*s.aligned(ci, row, "interaction table"))[1])
+        for ci, row in rows
+    }
 
 
 def construct_posterior(

@@ -27,7 +27,7 @@ from .coherence import EventValueFunction
 from .countable import CountableFamily
 from .dist import Assignment, JointTable, VariableSpec
 from .errors import CoverageMismatch, SchemaError, SoftTiltError, ValidationError
-from .identify import Direction, GaugeShift, InteractionTable, RewardTable, _split
+from .identify import Direction, GaugeShift, InteractionTable, RewardTable, _split, _Split
 
 JOINT_SUM_TOL = 1e-9
 
@@ -235,77 +235,115 @@ class LoadedRewards:
     terminals: EventValueFunction
 
 
-def _entries(doc: dict, joint: JointTable, direction: Direction):
-    """Yield (context index, outcome index, entry) for each entry of a reward or
-    interaction document, its bindings checked against the joint and the
-    direction; the indices are those of the direction's `_split`."""
+@dataclass
+class _Rows:
+    """A reward or interaction document read into its direction's `_Split` indices:
+    per context index, in the order the file first names them, the values in
+    outcome-index order, None where absent; for rewards, V per full-group cell."""
+
+    alpha: float | None
+    direction: Direction
+    split: _Split
+    rows: dict[int, list]
+    terminals: list | None
+
+    def table(self) -> dict[Assignment, dict[Assignment, float]]:
+        """The rows keyed by context and outcome."""
+        s = self.split
+        return {
+            s.contexts[ci]: {o: v for o, v in zip(s.outcomes, row) if v is not None}
+            for ci, row in self.rows.items()
+        }
+
+
+def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _Rows:
+    """A "reward" or "interaction" document as rows. Each distinct binding object
+    is resolved once, through a memo keyed by its items; a miss takes the path
+    whose checks and messages are the contract. A rewards file needs an entry at
+    every prior-supported outcome of each positive-mass context it names, or
+    with fill_zero gets r = V = 0 there."""
+    rewards = kind == "reward"
+    _require(isinstance(doc, dict), f"{kind} document must be an object")
+    alpha = doc.get("alpha")
+    if rewards or alpha is not None:
+        alpha = _number(alpha, "'alpha' must be a finite number")
+        _require(alpha > 0, f"'alpha' must be > 0, got {alpha!r}")
+    direction = direction_from_doc(doc, joint)
     s = _split(joint, direction)
     entry_docs = doc.get("entries")
     _require(isinstance(entry_docs, list), "'entries' must be an array")
-    seen: set[tuple[int, int]] = set()
+    ctx_full, out_full, isfinite = s.ctx_full, s.out_full, math.isfinite
+    rows: dict[int, list] = {}
+    terminals = [None] * len(s.events) if rewards else None
+    ctx_memo: dict[tuple, int] = {}
+    out_memo: dict[tuple, int] = {}
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
         ctx, outcome = item.get("context"), item.get("outcome")
-        c_hit, o_hit = joint._index_of(ctx), joint._index_of(outcome)
-        if c_hit is None or o_hit is None:
-            _binding(ctx, "'context'")
-            _binding(outcome, "'outcome'")
-            c_hit, o_hit = _locate(joint, ctx, "'context'"), _locate(joint, outcome, "'outcome'")
-        (c_group, ci), (o_group, ti) = c_hit, o_hit
-        _require(c_group == s.cond, lambda: (
-            f"'context' must bind exactly {sorted(direction.conditioning)!r}, got {Assignment(ctx)}"
-        ))
-        _require(o_group == s.target, lambda: (
-            f"'outcome' must bind exactly {sorted(direction.target)!r}, got {Assignment(outcome)}"
-        ))
-        _require((ci, ti) not in seen, lambda: (
-            f"duplicate entry at {Assignment(ctx)}/{Assignment(outcome)}"
-        ))
-        seen.add((ci, ti))
-        yield ci, ti, item
+        try:
+            ci, ti = ctx_memo[tuple(ctx.items())], out_memo[tuple(outcome.items())]
+        except (AttributeError, KeyError, TypeError):  # not a dict, unseen or unhashable
+            c_hit, o_hit = joint._index_of(ctx), joint._index_of(outcome)
+            if c_hit is None or o_hit is None:
+                _binding(ctx, "'context'")
+                _binding(outcome, "'outcome'")
+                c_hit, o_hit = _locate(joint, ctx, "'context'"), _locate(joint, outcome, "'outcome'")
+            (c_group, ci), (o_group, ti) = c_hit, o_hit
+            _require(c_group == s.cond, lambda: (
+                f"'context' must bind exactly {sorted(direction.conditioning)!r}, got {Assignment(ctx)}"
+            ))
+            _require(o_group == s.target, lambda: (
+                f"'outcome' must bind exactly {sorted(direction.target)!r}, got {Assignment(outcome)}"
+            ))
+            ctx_memo[tuple(ctx.items())], out_memo[tuple(outcome.items())] = ci, ti
+        row = rows.get(ci)
+        if row is None:
+            row = rows[ci] = [None] * len(s.outcomes)
+        if row[ti] is not None:
+            raise SchemaError(f"duplicate entry at {_at(s, ci, ti)}")
+        # finite floats are most values, and skip `_number`
+        if rewards:
+            r, v = item.get("r"), item.get("V")
+            if type(r) is not float or not isfinite(r):
+                r = _number(r, lambda: f"'r' at {_at(s, ci, ti)} must be a finite number")
+            if type(v) is not float or not isfinite(v):
+                v = _number(v, lambda: f"'V' at {_at(s, ci, ti)} must be a finite number")
+            row[ti], terminals[ctx_full[ci] + out_full[ti]] = r, v
+            continue
+        i = item.get("i")
+        if type(i) is not float or not isfinite(i):
+            i = -math.inf if i == "-inf" else _number(
+                i, lambda: f"'i' at {_at(s, ci, ti)} must be a number or \"-inf\""
+            )
+        row[ti] = i
+    for ci, row in rows.items() if rewards else ():
+        if None not in row or not s.m_cond[ci]:
+            continue  # a zero-mass context is handled at command level (skip or ZeroMassContext)
+        for ti, p in enumerate(s.prior(s.ctx_base[ci]).probs):
+            if p and row[ti] is None:
+                if not fill_zero:
+                    raise CoverageMismatch(
+                        f"missing entry for outcome {s.outcomes[ti]} at context {s.contexts[ci]} "
+                        "(pass --fill-zero to default missing entries to 0)"
+                    )
+                row[ti] = terminals[ctx_full[ci] + out_full[ti]] = 0.0
+    return _Rows(alpha, direction, s, rows, terminals)
+
+
+def _at(s: _Split, ci: int, ti: int) -> str:
+    return f"{s.contexts[ci]}/{s.outcomes[ti]}"
+
+
+def _loaded(table: _Rows) -> LoadedRewards:
+    """A rewards document's rows as the public tables."""
+    events = table.split.events
+    terminals = {events[cell]: v for cell, v in enumerate(table.terminals) if v is not None}
+    rewards = RewardTable(table.direction, table.table(), "external")
+    return LoadedRewards(table.alpha, table.direction, rewards, EventValueFunction._of(terminals))
 
 
 def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRewards:
-    _require(isinstance(doc, dict), "reward document must be an object")
-    alpha = _number(doc.get("alpha"), "'alpha' must be a finite number")
-    _require(alpha > 0, f"'alpha' must be > 0, got {alpha!r}")
-    direction = direction_from_doc(doc, joint)
-    s = _split(joint, direction)
-    entries: dict[Assignment, dict[Assignment, float]] = {}
-    events: dict[Assignment, float] = {}
-    for ci, ti, item in _entries(doc, joint, direction):
-        ctx, outcome = s.contexts[ci], s.outcomes[ti]
-        r = _number(item.get("r"), lambda: f"'r' at {ctx}/{outcome} must be a finite number")
-        v = _number(item.get("V"), lambda: f"'V' at {ctx}/{outcome} must be a finite number")
-        entries.setdefault(ctx, {})[outcome] = r
-        events[s.events[s.ctx_full[ci] + s.out_full[ti]]] = v
-    _fill_or_check_coverage(s, entries, events, fill_zero)
-    rewards = RewardTable(direction=direction, entries=entries, convention="external")
-    return LoadedRewards(
-        alpha=alpha,
-        direction=direction,
-        rewards=rewards,
-        terminals=EventValueFunction._of(events),
-    )
-
-
-def _fill_or_check_coverage(s, entries, events, fill_zero: bool) -> None:
-    """Every prior-supported outcome in a positive-mass context needs an entry."""
-    for ctx, row in entries.items():
-        ci = s.ctx_index[ctx]
-        if s.m_cond[ci] == 0:
-            continue  # handled at command level (skip or ZeroMassContext)
-        at = s.ctx_full[ci]
-        for outcome, offset, p in zip(s.outcomes, s.out_full, s.prior(s.ctx_base[ci]).probs):
-            if p == 0 or outcome in row:
-                continue
-            if not fill_zero:
-                raise CoverageMismatch(
-                    f"missing entry for outcome {outcome} at context {ctx} "
-                    "(pass --fill-zero to default missing entries to 0)"
-                )
-            row[outcome] = 0.0
-            events.setdefault(s.events[at + offset], 0.0)
+    return _loaded(_read_rows(doc, joint, "reward", fill_zero))
 
 
 def _table_text(direction: Direction, alpha: float | None, rows, names, values) -> str:
@@ -339,31 +377,24 @@ def _table_text(direction: Direction, alpha: float | None, rows, names, values) 
     return "{\n" + ",\n".join(fields) + "\n}"
 
 
-def reward_to_text(alpha: float, rewards: RewardTable, terminals: EventValueFunction) -> str:
+def reward_to_text(
+    alpha: float, rewards: RewardTable, terminals: EventValueFunction, joint: JointTable
+) -> str:
+    """The rewards document of a table on the joint; each entry's V is read at
+    its event in the grid of the direction's `_Split`."""
+    s = _split(joint, rewards.direction)
+    ctx_full, out_full, events = s.ctx_full, s.out_full, s.events
+
     def values(ctx, outcome, r):
-        return r, float(terminals.value(outcome.union(ctx)))
+        cell = ctx_full[s.ctx_index[ctx]] + out_full[s.outcome_index[outcome]]
+        return r, float(terminals.value(events[cell]))
 
     return _table_text(rewards.direction, alpha, rewards.entries, ("r", "V"), values)
 
 
 def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, InteractionTable]:
-    _require(isinstance(doc, dict), "interaction document must be an object")
-    alpha = doc.get("alpha")
-    if alpha is not None:
-        alpha = _number(alpha, "'alpha' must be a finite number")
-        _require(alpha > 0, f"'alpha' must be > 0, got {alpha!r}")
-    direction = direction_from_doc(doc, joint)
-    s = _split(joint, direction)
-    values: dict[Assignment, dict[Assignment, float]] = {}
-    for ci, ti, item in _entries(doc, joint, direction):
-        ctx, outcome = s.contexts[ci], s.outcomes[ti]
-        raw = item.get("i")
-        if raw == "-inf":
-            value = -math.inf
-        else:
-            value = _number(raw, lambda: f"'i' at {ctx}/{outcome} must be a number or \"-inf\"")
-        values.setdefault(ctx, {})[outcome] = value
-    return alpha, InteractionTable(direction=direction, values=values)
+    table = _read_rows(doc, joint, "interaction")
+    return table.alpha, InteractionTable(table.direction, table.table())
 
 
 def interaction_to_text(table: InteractionTable, alpha: float | None = None) -> str:

@@ -33,9 +33,9 @@ from softtilt import (
     total_variation,
 )
 from softtilt.cli import _merge_terminals
-from softtilt.coherence import _problem
+from softtilt.coherence import _lookup, _problem
 from softtilt.identify import _split
-from softtilt.io import reward_from_doc, reward_to_text
+from softtilt.io import _loaded, _read_rows, reward_to_text
 from helpers import random_baseline, random_joint, random_terminals, sparse_joint
 
 FWD = Direction(target=("X",), base=("Y",), observed=("Z",))
@@ -336,7 +336,8 @@ class TestFrontDoors:
             for ci in s.order:
                 if s.m_cond[ci]:
                     ctx = s.contexts[ci]
-                    problem = _problem(s, ci, rewards.entries.get(ctx), pair.values, pair.config)
+                    row, terminal = s.row(rewards.entries[ctx]), _lookup(s, pair.values)
+                    problem = _problem(s, ci, row, terminal, pair.config)
                     assert problem == build_problem(
                         pair.joint, pair.values, pair.config, rewards, ctx
                     )
@@ -378,18 +379,21 @@ class TestFrontDoors:
         loaded = []
         for direction, extra in ((FWD, fwd_extra), (FWD.swapped(), swp_extra)):
             calib = calibrate_rewards(j, direction, EventValueFunction.zero(), alpha=1.0)
-            doc = json.loads(reward_to_text(1.0, calib.rewards, EventValueFunction.zero()))
+            doc = json.loads(reward_to_text(1.0, calib.rewards, EventValueFunction.zero(), j))
             doc["entries"] += [
                 {"context": ctx, "outcome": outcome, "r": 0.0, "V": 0.0}
                 for ctx, outcome in extra
             ]
-            loaded.append(reward_from_doc(doc, j, fill_zero=True))
+            loaded.append(_read_rows(doc, j, "reward", fill_zero=True))
         fwd, swp = loaded
+        s = fwd.split
+        merged = _merge_terminals(s, fwd.terminals, swp.terminals)
         pair = DirectionPair(
-            joint=j, values=_merge_terminals(fwd.terminals, swp.terminals),
+            joint=j,
+            values=EventValueFunction({s.events[c]: v for c, v in enumerate(merged) if v is not None}),
             config=SolverConfig(alpha=1.0), forward=FWD,
         )
-        return pair, fwd.rewards, swp.rewards
+        return pair, _loaded(fwd).rewards, _loaded(swp).rewards
 
     def test_sparse_joint_filled_with_zero(self):
         report = self.assert_doors_agree(*self.sparse_loaded())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
@@ -16,6 +17,7 @@ from softtilt import (
     Direction,
     EventValueFunction,
     InteractionTable,
+    JointTable,
     RewardTable,
     SchemaError,
     SoftTiltError,
@@ -192,7 +194,8 @@ class TestRewardDoc:
     def calibrated_doc(self):
         j = joint_f3()
         calib = calibrate_rewards(j, FWD, EventValueFunction.zero(), alpha=2.0)
-        return j, calib, json.loads(reward_to_text(2.0, calib.rewards, EventValueFunction.zero()))
+        text = reward_to_text(2.0, calib.rewards, EventValueFunction.zero(), j)
+        return j, calib, json.loads(text)
 
     def test_round_trip(self):
         j, calib, doc = self.calibrated_doc()
@@ -209,7 +212,7 @@ class TestRewardDoc:
         loaded = reward_from_doc(doc, j)
         assert loaded.rewards.entries == calib.rewards.entries
         # the text is what the generic renderer makes of the parsed document
-        text = reward_to_text(2.0, calib.rewards, EventValueFunction.zero())
+        text = reward_to_text(2.0, calib.rewards, EventValueFunction.zero(), j)
         assert dumps_report(doc) == text
 
     def test_missing_entry_suggests_fill_zero(self):
@@ -483,7 +486,7 @@ def _tables(draw, values):
     for ctx in iter_group_assignments(specs[n] for n in direction.conditioning):
         if draw(st.booleans()):
             rows[ctx] = {o: draw(values) for o in outcomes if draw(st.booleans())}
-    return direction, rows
+    return direction, rows, tuple(specs.values())
 
 
 class TestTableWriter:
@@ -495,7 +498,7 @@ class TestTableWriter:
         table=_tables(st.one_of(_VALUES, st.just(-math.inf))), alpha=st.one_of(st.none(), _VALUES)
     )
     def test_interaction_text_matches_reference(self, table, alpha):
-        direction, rows = table
+        direction, rows, _ = table
         want = ref_table_doc(direction, alpha, rows, lambda ctx, outcome, i: {
             "i": "-inf" if i == -math.inf else i
         })
@@ -505,7 +508,9 @@ class TestTableWriter:
     @settings(max_examples=80)
     @given(table=_tables(_VALUES), alpha=_VALUES, data=st.data())
     def test_reward_text_matches_reference(self, table, alpha, data):
-        direction, rows = table
+        direction, rows, specs = table
+        cells = list(iter_group_assignments(specs))
+        joint = JointTable(specs, [(cell, Fraction(1, len(cells))) for cell in cells])
         # each cell's terminal value, from the function's entries or its default
         default = data.draw(_VALUES)
         terminal = {
@@ -519,5 +524,5 @@ class TestTableWriter:
         want = ref_table_doc(direction, alpha, rows, lambda ctx, outcome, r: {
             "r": r, "V": default if terminal[ctx, outcome] is None else terminal[ctx, outcome]
         })
-        text = reward_to_text(alpha, RewardTable(direction, rows), terminals)
+        text = reward_to_text(alpha, RewardTable(direction, rows), terminals, joint)
         assert text == dumps_report(want)

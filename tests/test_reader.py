@@ -29,7 +29,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from softtilt.cli import main
-from softtilt.io import interaction_from_doc, joint_from_doc, joint_to_doc
+from softtilt.io import _read_rows, interaction_from_doc, joint_from_doc, joint_to_doc
 from softtilt.io import reward_from_doc
 from helpers import random_direction, sparse_random_joint, tag
 
@@ -156,8 +156,14 @@ class TestRespelledFiles:
             assert (a.alpha, a.direction) == (b.alpha, b.direction)
             assert a.rewards.entries == b.rewards.entries
             assert a.terminals == b.terminals
+            rows = [_read_rows(d, joint, "reward", fill_zero=True) for d in (base_doc, respelled_doc)]
         else:
             (alpha_a, a), (alpha_b, b) = (interaction_from_doc(d, joint)
                                           for d in (base_doc, respelled_doc))
             assert alpha_a == alpha_b and a.direction == b.direction
             assert a.values == b.values
+            rows = [_read_rows(d, joint, "interaction") for d in (base_doc, respelled_doc)]
+        (alpha_a, dir_a, rows_a, terms_a), (alpha_b, dir_b, rows_b, terms_b) = map(rows_of, rows)
+        assert (alpha_a, dir_a, terms_a) == (alpha_b, dir_b, terms_b)
+        # each file lists its contexts in the order it first names them
+        assert dict(rows_a) == dict(rows_b)
