@@ -70,12 +70,6 @@ def _obj(assignment: Assignment) -> dict:
     return dict(assignment.items_sorted)
 
 
-def _contexts(joint: JointTable, direction: Direction) -> list[tuple[int, Assignment, bool]]:
-    """Each context of a direction in canonical order: (`_split` index, context, mass > 0)."""
-    s = _split(joint, direction)
-    return [(ci, s.contexts[ci], s.m_cond[ci] > 0) for ci in s.order]
-
-
 def _render(doc) -> str:
     return dumps_report(doc) + "\n"
 
@@ -113,9 +107,9 @@ def _pick_direction(args, joint: JointTable) -> Direction:
     return default_direction(joint)
 
 
-def _dist_entries(dist: DistVector) -> list[dict]:
-    rows = sorted(zip(dist.outcomes(), dist.probs), key=lambda t: t[0].items_sorted)
-    return [{"outcome": _obj(o), "q": float(p)} for o, p in rows]
+def _dist_entries(s, dist: DistVector) -> list[dict]:
+    """A distribution over a `_Split`'s outcomes, in canonical outcome order."""
+    return [{"outcome": _obj(s.outcomes[ti]), "q": float(dist.probs[ti])} for ti in s.outcome_order]
 
 
 def _tol(args) -> float | None:
@@ -142,7 +136,7 @@ def cmd_solve(args) -> int:
     if args.rewards:
         table = _read_rows(load_json(args.rewards), joint, "reward", args.fill_zero)
         direction, s = table.direction, table.split
-        if args.direction and _pick_direction(args, joint) != direction:
+        if args.direction and _pick_direction(args, joint).tag != direction.tag:
             raise ValidationError(
                 f"--direction {args.direction!r} does not match "
                 f"the rewards direction {direction.tag!r}"
@@ -159,8 +153,9 @@ def cmd_solve(args) -> int:
     config = SolverConfig(alpha=alpha)
     entries = []
     skipped = []
-    for ci, ctx, positive in _contexts(joint, direction):
-        if not positive:
+    for ci in s.order:
+        ctx = s.contexts[ci]
+        if not s.m_cond[ci]:
             if not args.skip_zero_mass:
                 raise ZeroMassContext(
                     f"conditioning event {ctx} has zero probability "
@@ -172,7 +167,7 @@ def cmd_solve(args) -> int:
         entries.append(
             {
                 "context": _obj(ctx),
-                "optimizer": _dist_entries(solution.optimizer),
+                "optimizer": _dist_entries(s, solution.optimizer),
                 "soft_value": solution.soft_value,
                 "log_normalizer": solution.log_normalizer,
             }
@@ -193,11 +188,10 @@ def cmd_identify(args) -> int:
         values_from_doc(load_json(args.values), joint) if args.values else EventValueFunction.zero()
     )
     calib = calibrate_rewards(joint, direction, terminals, args.alpha, baseline=baseline)
-
+    s = _split(joint, direction)
     skipped = [
-        {"context": _obj(ctx), "reason": "zero conditioning mass"}
-        for _, ctx, positive in _contexts(joint, direction)
-        if not positive
+        {"context": _obj(s.contexts[ci]), "reason": "zero conditioning mass"}
+        for ci in s.order if not s.m_cond[ci]
     ]
     excluded = [
         {"context": _obj(ctx), "outcome": _obj(o), "reason": "zero joint mass"}
@@ -434,7 +428,7 @@ def cmd_construct(args) -> int:
         entries.append(
             {
                 "context": _obj(ctx),
-                "posterior": _dist_entries(posterior),
+                "posterior": _dist_entries(s, posterior),
                 "normalization_residual": residual,
             }
         )

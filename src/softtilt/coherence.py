@@ -54,13 +54,6 @@ class EventValueFunction:
         self._default = None if default is None else float(default)
 
     @classmethod
-    def _of(cls, entries: dict, default: float | None = None) -> "EventValueFunction":
-        """Trusted constructor: entries map distinct events to floats, none NaN."""
-        values = object.__new__(cls)
-        values._entries, values._default = entries, default
-        return values
-
-    @classmethod
     def zero(cls) -> "EventValueFunction":
         return cls((), default=0.0)
 
@@ -145,10 +138,8 @@ def _problem(s, ci: int, row, terminal, config: SolverConfig, checked: bool = Fa
     prior, reward = s.aligned(ci, row, "reward table")
     at = s.ctx_full[ci]
     values = tuple([terminal(at + offset) if p else 0.0 for offset, p in zip(s.out_full, prior.probs)])
-    if checked:
-        return _trusted(SoftUpdateProblem, prior=prior, reward=tuple(reward), terminal=values,
-                        config=config)
-    return SoftUpdateProblem(prior, tuple(reward), values, config)
+    fields = {"prior": prior, "reward": tuple(reward), "terminal": values, "config": config}
+    return _trusted(SoftUpdateProblem, **fields) if checked else SoftUpdateProblem(**fields)
 
 
 def commutativity_residual(

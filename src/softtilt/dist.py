@@ -361,10 +361,11 @@ class DistVector:
 
 
 def _trusted(cls, **fields):
-    """Trusted constructor of a frozen dataclass: fields already valid, as read
-    values checked at the edge or exact quotients, are set without validation."""
+    """Trusted constructor: an instance with fields already valid, such as values
+    checked where they were read or exact quotients, set without validation."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
     return obj
 
 

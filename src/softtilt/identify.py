@@ -191,14 +191,13 @@ def _interactions(s: _Split):
             continue
         bi = s.ctx_base[ci]
         p_base, base_at, ctx_at = s.m_base[bi], s.base_prior[bi], s.ctx_full[ci]
-        row: list[float | None] = []
-        for o_prior, o_full in zip(s.out_prior, s.out_full):
+        row: list[float | None] = [None] * len(s.outcomes)
+        for ti, (o_prior, o_full) in enumerate(zip(s.out_prior, s.out_full)):
             p_prior = s.m_prior[base_at + o_prior]
             if not p_prior:
-                row.append(None)  # prior conditional is zero: cell undefined, not -inf
-                continue
+                continue  # prior conditional is zero: cell undefined, not -inf
             p_cell = s.m_full[ctx_at + o_full]
-            row.append(log_rational(p_cell * p_base, p_ctx * p_prior) if p_cell else -math.inf)
+            row[ti] = log_rational(p_cell * p_base, p_ctx * p_prior) if p_cell else -math.inf
         yield ci, row
 
 

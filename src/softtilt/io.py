@@ -9,10 +9,11 @@ to text, with the same bytes, each binding object rendered once per table.
 
 The joint, reward and interaction readers resolve a binding (`assign`,
 `context`, `outcome`) that is a plain dict of known names and labels by one
-lookup per variable. Any other binding, and every binding of a values or
-baseline file, takes the validating path, `_binding` then `_locate`, whose
-error texts and exit codes are the contract; duplicate, mass and total checks
-run on both.
+lookup per variable; the reward and interaction reader does so once per
+distinct binding object, and stores the values as rows of `_Split` indices.
+Any other binding, and every binding of a values or baseline file, takes the
+validating path, `_binding` then `_locate`, whose error texts and exit codes
+are the contract; duplicate, mass and total checks run on both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .coherence import EventValueFunction
 from .countable import CountableFamily
-from .dist import Assignment, JointTable, VariableSpec
+from .dist import Assignment, JointTable, VariableSpec, _trusted
 from .errors import CoverageMismatch, SchemaError, SoftTiltError, ValidationError
 from .identify import Direction, GaugeShift, InteractionTable, RewardTable, _split, _Split
 
@@ -299,21 +300,22 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
         row = rows.get(ci)
         if row is None:
             row = rows[ci] = [None] * len(s.outcomes)
+        at = s.contexts[ci], s.outcomes[ti]
         if row[ti] is not None:
-            raise SchemaError(f"duplicate entry at {_at(s, ci, ti)}")
+            raise SchemaError("duplicate entry at {}/{}".format(*at))
         # finite floats are most values, and skip `_number`
         if rewards:
             r, v = item.get("r"), item.get("V")
             if type(r) is not float or not isfinite(r):
-                r = _number(r, lambda: f"'r' at {_at(s, ci, ti)} must be a finite number")
+                r = _number(r, lambda: "'r' at {}/{} must be a finite number".format(*at))
             if type(v) is not float or not isfinite(v):
-                v = _number(v, lambda: f"'V' at {_at(s, ci, ti)} must be a finite number")
+                v = _number(v, lambda: "'V' at {}/{} must be a finite number".format(*at))
             row[ti], terminals[ctx_full[ci] + out_full[ti]] = r, v
             continue
         i = item.get("i")
         if type(i) is not float or not isfinite(i):
             i = -math.inf if i == "-inf" else _number(
-                i, lambda: f"'i' at {_at(s, ci, ti)} must be a number or \"-inf\""
+                i, lambda: "'i' at {}/{} must be a number or \"-inf\"".format(*at)
             )
         row[ti] = i
     for ci, row in rows.items() if rewards else ():
@@ -330,16 +332,14 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
     return _Rows(alpha, direction, s, rows, terminals)
 
 
-def _at(s: _Split, ci: int, ti: int) -> str:
-    return f"{s.contexts[ci]}/{s.outcomes[ti]}"
-
-
 def _loaded(table: _Rows) -> LoadedRewards:
     """A rewards document's rows as the public tables."""
     events = table.split.events
-    terminals = {events[cell]: v for cell, v in enumerate(table.terminals) if v is not None}
-    rewards = RewardTable(table.direction, table.table(), "external")
-    return LoadedRewards(table.alpha, table.direction, rewards, EventValueFunction._of(terminals))
+    values = {events[cell]: v for cell, v in enumerate(table.terminals) if v is not None}
+    return LoadedRewards(
+        table.alpha, table.direction, RewardTable(table.direction, table.table(), "external"),
+        _trusted(EventValueFunction, _entries=values, _default=None),
+    )
 
 
 def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRewards:

@@ -74,6 +74,10 @@ class TestSolve:
             assert entry["optimizer"][0]["q"] == pytest.approx(want, abs=1e-12)
             assert abs(entry["log_normalizer"]) <= 1e-12
 
+    def test_direction_that_agrees_with_the_rewards_is_accepted(self, capsys, identified):
+        argv = ["solve", F3, "--rewards", identified["fwd_rewards"]]
+        assert run(capsys, argv + ["--direction", "x_given_yz"]) == run(capsys, argv)
+
     def test_alpha_override_is_reported(self, capsys, identified):
         doc = run_json(
             capsys, ["solve", F3, "--rewards", identified["fwd_rewards"], "--alpha", "2.0"]

@@ -281,6 +281,10 @@ FLAG_CASES = [
      "error: alpha must be finite and > 0, got inf\n"),
     ("solve-alpha-zero", ["solve", F3, "--rewards", "{rewards}", "--alpha", "0"],
      "error: alpha must be finite and > 0, got 0.0\n"),
+    # the rewards file's direction is x_given_yz
+    ("solve-direction-disagrees-with-rewards",
+     ["solve", F3, "--rewards", "{rewards}", "--direction", "z_given_yx"],
+     "error: --direction 'z_given_yx' does not match the rewards direction 'x_given_yz'\n"),
     ("identify-alpha-negative", ["identify", F3, "--alpha", "-1", "--out", "{out}"],
      "error: alpha must be finite and > 0, got -1.0\n"),
     # i/alpha overflows: a rewards file of "inf" would be unreadable
