@@ -211,9 +211,10 @@ def cmd_identify(args) -> int:
         }
     )
     prefix = args.out
+    rewards = reward_to_text(args.alpha, calib.rewards, terminals, joint)
     _write_files([
         (f"{prefix}.interaction.json", interaction_to_text(calib.interaction, args.alpha) + "\n"),
-        (f"{prefix}.rewards.json", reward_to_text(args.alpha, calib.rewards, terminals, joint) + "\n"),
+        (f"{prefix}.rewards.json", rewards + "\n"),
         (f"{prefix}.report.json", _render(report)),
     ])
     return 0
@@ -299,9 +300,8 @@ def _merge_terminals(s, ours: list, theirs: list) -> list:
     ]
     if clash:
         cell = min(clash, key=lambda c: s.events[c].items_sorted)
-        raise CoverageMismatch(
-            f"terminal values disagree at event {s.events[cell]}: {ours[cell]!r} vs {theirs[cell]!r}"
-        )
+        raise CoverageMismatch(f"terminal values disagree at event {s.events[cell]}: "
+                               f"{ours[cell]!r} vs {theirs[cell]!r}")
     return [b if a is None else a for a, b in zip(ours, theirs)]
 
 

@@ -127,7 +127,7 @@ def _lookup(s, values: EventValueFunction):
     return lambda cell: float(values.value(s.events[cell]))
 
 
-def _problem(s, ci: int, row, terminal, config: SolverConfig, checked: bool = False) -> SoftUpdateProblem:
+def _problem(s, ci: int, row, terminal, config: SolverConfig, checked=False) -> SoftUpdateProblem:
     """`build_problem` at context index ci of a `_Split`, given the context's reward
     row (in outcome-index order, None where absent) or None, and terminal(cell), the
     value at a full-group cell index; `checked` values were checked finite when read."""
@@ -137,7 +137,7 @@ def _problem(s, ci: int, row, terminal, config: SolverConfig, checked: bool = Fa
         raise CoverageMismatch(f"reward table has no entries for context {s.contexts[ci]}")
     prior, reward = s.aligned(ci, row, "reward table")
     at = s.ctx_full[ci]
-    values = tuple([terminal(at + offset) if p else 0.0 for offset, p in zip(s.out_full, prior.probs)])
+    values = tuple([terminal(at + o) if p else 0.0 for o, p in zip(s.out_full, prior.probs)])
     fields = {"prior": prior, "reward": tuple(reward), "terminal": values, "config": config}
     return _trusted(SoftUpdateProblem, **fields) if checked else SoftUpdateProblem(**fields)
 

@@ -483,7 +483,8 @@ def _log_normalizer(prior: DistVector, signal: Sequence[float]) -> tuple[list[fl
 def check_admissibility(table: InteractionTable, joint: JointTable) -> dict[Assignment, float]:
     """Per-context |log sum_x P(x|base) exp(i(x))|; zero for any true interaction."""
     s = _split(joint, table.direction)
-    return _admissibility(s, ((s.locate(ctx), s.row(table.values[ctx])) for ctx in table.contexts()))
+    rows = ((s.locate(ctx), s.row(table.values[ctx])) for ctx in table.contexts())
+    return _admissibility(s, rows)
 
 
 def _admissibility(s: _Split, rows) -> dict[Assignment, float]:

@@ -257,12 +257,29 @@ class _Rows:
         }
 
 
+def _indices(joint: JointTable, s: _Split, direction: Direction, ctx, outcome) -> tuple[int, int]:
+    """An entry's context and outcome indices in the `_Split`: by label lookup,
+    or on a miss by the validating path, whose checks and messages are the contract."""
+    c_hit, o_hit = joint._index_of(ctx), joint._index_of(outcome)
+    if c_hit is None or o_hit is None:
+        _binding(ctx, "'context'")
+        _binding(outcome, "'outcome'")
+        c_hit, o_hit = _locate(joint, ctx, "'context'"), _locate(joint, outcome, "'outcome'")
+    (c_group, ci), (o_group, ti) = c_hit, o_hit
+    _require(c_group == s.cond, lambda: (
+        f"'context' must bind exactly {sorted(direction.conditioning)!r}, got {Assignment(ctx)}"
+    ))
+    _require(o_group == s.target, lambda: (
+        f"'outcome' must bind exactly {sorted(direction.target)!r}, got {Assignment(outcome)}"
+    ))
+    return ci, ti
+
+
 def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _Rows:
     """A "reward" or "interaction" document as rows. Each distinct binding object
-    is resolved once, through a memo keyed by its items; a miss takes the path
-    whose checks and messages are the contract. A rewards file needs an entry at
-    every prior-supported outcome of each positive-mass context it names, or
-    with fill_zero gets r = V = 0 there."""
+    is resolved once by `_indices`, through a memo keyed by its items. A rewards
+    file needs an entry at every prior-supported outcome of each positive-mass
+    context it names, or with fill_zero gets r = V = 0 there."""
     rewards = kind == "reward"
     _require(isinstance(doc, dict), f"{kind} document must be an object")
     alpha = doc.get("alpha")
@@ -284,18 +301,7 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
         try:
             ci, ti = ctx_memo[tuple(ctx.items())], out_memo[tuple(outcome.items())]
         except (AttributeError, KeyError, TypeError):  # not a dict, unseen or unhashable
-            c_hit, o_hit = joint._index_of(ctx), joint._index_of(outcome)
-            if c_hit is None or o_hit is None:
-                _binding(ctx, "'context'")
-                _binding(outcome, "'outcome'")
-                c_hit, o_hit = _locate(joint, ctx, "'context'"), _locate(joint, outcome, "'outcome'")
-            (c_group, ci), (o_group, ti) = c_hit, o_hit
-            _require(c_group == s.cond, lambda: (
-                f"'context' must bind exactly {sorted(direction.conditioning)!r}, got {Assignment(ctx)}"
-            ))
-            _require(o_group == s.target, lambda: (
-                f"'outcome' must bind exactly {sorted(direction.target)!r}, got {Assignment(outcome)}"
-            ))
+            ci, ti = _indices(joint, s, direction, ctx, outcome)
             ctx_memo[tuple(ctx.items())], out_memo[tuple(outcome.items())] = ci, ti
         row = rows.get(ci)
         if row is None:

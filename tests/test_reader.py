@@ -156,7 +156,7 @@ class TestRespelledFiles:
             assert (a.alpha, a.direction) == (b.alpha, b.direction)
             assert a.rewards.entries == b.rewards.entries
             assert a.terminals == b.terminals
-            rows = [_read_rows(d, joint, "reward", fill_zero=True) for d in (base_doc, respelled_doc)]
+            rows = [_read_rows(d, joint, "reward", True) for d in (base_doc, respelled_doc)]
         else:
             (alpha_a, a), (alpha_b, b) = (interaction_from_doc(d, joint)
                                           for d in (base_doc, respelled_doc))
