@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .coherence import EventValueFunction, _audit, _problem
 from .countable import DEFAULT_MAX_DOUBLINGS, DEFAULT_START, log_normalizer_truncated
-from .dist import Assignment, DistVector, JointTable, _trusted
+from .dist import DistVector, JointTable, _trusted
 from .errors import (
     CoverageMismatch,
     OutputError,
@@ -45,14 +45,18 @@ from .identify import (
     gauge_equivalent,
 )
 from .io import (
+    _bindings,
     _loaded,
+    _quote,
     _read_rows,
+    _render,
     _Rows,
+    _Shape,
     baseline_from_doc,
     direction_fields,
     direction_from_tag,
-    dumps_report,
     family_from_doc,
+    format_float,
     interaction_to_text,
     joint_from_doc,
     load_json,
@@ -63,16 +67,21 @@ from .tilt import SolverConfig, _decomposition_residual, solve_tilt
 
 CHECK_NAMES = ("gauge", "admissibility", "commute", "decomposition")
 
+# the entry shapes of the reports, each at the depth of its list
+_SKIPPED = _Shape(1, "context", "reason")
+_SOLVED = _Shape(1, "context", "log_normalizer", "optimizer", "soft_value")
+_CONSTRUCTED = _Shape(1, "context", "normalization_residual", "posterior")
+_DIST = _Shape(3, "outcome", "q")
+_CONTEXT_VALUES = _Shape(1, "V", "context")
+_EXCLUDED = _Shape(1, "context", "outcome", "reason")
+_RESIDUALS = _Shape(3, "at", "residual")
+_SKIPPED_AT = _Shape(3, "at", "reason")
+_SHIFTS = _Shape(4, "c", "context")
+_ZERO_CONTEXT, _ZERO_BASE, _ZERO_CELL = map(_quote, ("zero conditioning mass", "zero base mass",
+                                                    "zero joint mass"))
+
 
 # ------------------------------------------------------------- utilities
-
-def _obj(assignment: Assignment) -> dict:
-    return dict(assignment.items_sorted)
-
-
-def _render(doc) -> str:
-    return dumps_report(doc) + "\n"
-
 
 def _write_files(outputs: Sequence[tuple[str, str]]) -> None:
     """Write each (path, text) in turn; on failure remove the files written so far."""
@@ -90,7 +99,7 @@ def _write_files(outputs: Sequence[tuple[str, str]]) -> None:
 
 
 def _emit(out: str | None, doc) -> None:
-    text = _render(doc)
+    text = _render(doc, 0) + "\n"
     if out:
         _write_files([(out, text)])
     else:
@@ -107,9 +116,9 @@ def _pick_direction(args, joint: JointTable) -> Direction:
     return default_direction(joint)
 
 
-def _dist_entries(s, dist: DistVector) -> list[dict]:
-    """A distribution over a `_Split`'s outcomes, in canonical outcome order."""
-    return [{"outcome": _obj(s.outcomes[ti]), "q": float(dist.probs[ti])} for ti in s.outcome_order]
+def _dist_text(s, outcomes: list[str], dist: DistVector) -> str:
+    """A distribution over a `_Split`'s outcomes, whose texts are given, in canonical order."""
+    return _DIST([(outcomes[ti], format_float(dist.probs[ti])) for ti in s.outcome_order])
 
 
 def _tol(args) -> float | None:
@@ -149,31 +158,26 @@ def cmd_solve(args) -> int:
         s = _split(joint, direction)
         alpha = args.alpha if args.alpha is not None else 1.0
         rows = dict.fromkeys(range(len(s.contexts)), [0.0] * len(s.outcomes))
-        terminals = [0.0] * len(s.events)
+        terminals = [0.0] * len(s.m_full)
     config = SolverConfig(alpha=alpha)
+    contexts, outcomes = _bindings(joint, s.cond, 3)[0], _bindings(joint, s.target, 5)[0]
     entries = []
     skipped = []
     for ci in s.order:
-        ctx = s.contexts[ci]
         if not s.m_cond[ci]:
             if not args.skip_zero_mass:
                 raise ZeroMassContext(
-                    f"conditioning event {ctx} has zero probability "
+                    f"conditioning event {s.contexts[ci]} has zero probability "
                     "(pass --skip-zero-mass to skip such contexts)"
                 )
-            skipped.append({"context": _obj(ctx), "reason": "zero conditioning mass"})
+            skipped.append((contexts[ci], _ZERO_CONTEXT))
             continue
         solution = solve_tilt(_problem(s, ci, rows.get(ci), terminals.__getitem__, config, True))
-        entries.append(
-            {
-                "context": _obj(ctx),
-                "optimizer": _dist_entries(s, solution.optimizer),
-                "soft_value": solution.soft_value,
-                "log_normalizer": solution.log_normalizer,
-            }
-        )
+        entries.append((contexts[ci], format_float(solution.log_normalizer),
+                        _dist_text(s, outcomes, solution.optimizer),
+                        format_float(solution.soft_value)))
     doc = direction_fields(direction)
-    doc.update({"alpha": float(alpha), "entries": entries, "skipped": skipped})
+    doc.update({"alpha": float(alpha), "entries": _SOLVED(entries), "skipped": _SKIPPED(skipped)})
     _emit(args.out, doc)
     return 0
 
@@ -189,57 +193,48 @@ def cmd_identify(args) -> int:
     )
     calib = calibrate_rewards(joint, direction, terminals, args.alpha, baseline=baseline)
     s = _split(joint, direction)
-    skipped = [
-        {"context": _obj(s.contexts[ci]), "reason": "zero conditioning mass"}
-        for ci in s.order if not s.m_cond[ci]
-    ]
-    excluded = [
-        {"context": _obj(ctx), "outcome": _obj(o), "reason": "zero joint mass"}
-        for ctx, o in calib.excluded
-    ]
+    contexts, outcomes = _bindings(joint, s.cond, 3)[0], _bindings(joint, s.target, 3)[0]
+    # calibration lists the context values and the excluded cells in canonical order
+    values = [(format_float(v), contexts[s.ctx_index[ctx]])
+              for ctx, v in calib.context_values.items()]
+    excluded = [(contexts[s.ctx_index[ctx]], outcomes[s.outcome_index[o]], _ZERO_CELL)
+                for ctx, o in calib.excluded]
     report = direction_fields(direction)
-    report.update(
-        {
-            "alpha": float(args.alpha),
-            "contexts": len(calib.interaction.values),
-            "context_values": [
-                {"context": _obj(ctx), "V": calib.context_values[ctx]}
-                for ctx in sorted(calib.context_values, key=lambda a: a.items_sorted)
-            ],
-            "excluded": excluded,
-            "skipped": skipped,
-        }
-    )
+    report.update({
+        "alpha": float(args.alpha),
+        "contexts": len(calib.interaction.values),
+        "context_values": _CONTEXT_VALUES(values),
+        "excluded": _EXCLUDED(excluded),
+        "skipped": _SKIPPED((contexts[ci], _ZERO_CONTEXT) for ci in s.order if not s.m_cond[ci]),
+    })
     prefix = args.out
     rewards = reward_to_text(args.alpha, calib.rewards, terminals, joint)
     _write_files([
         (f"{prefix}.interaction.json", interaction_to_text(calib.interaction, args.alpha) + "\n"),
         (f"{prefix}.rewards.json", rewards + "\n"),
-        (f"{prefix}.report.json", _render(report)),
+        (f"{prefix}.report.json", _render(report, 0) + "\n"),
     ])
     return 0
 
 
 # ------------------------------------------------------------------ check
 
-def _check_doc(check, tolerance, residuals, skipped=(), details=None, max_residual=None) -> dict:
-    """One check's report; residuals maps cell to residual, max_residual defaults
-    to their largest, and cells are listed in canonical order."""
+def _check_doc(check, tolerance, grid, residuals, skipped=(), details=None, max_residual=None):
+    """One check's report; residuals and skipped (a reason) map cell indices of
+    `grid`, its cells' `_bindings` at depth 5, which list them in canonical order;
+    max_residual defaults to the largest residual."""
     if max_residual is None:
         max_residual = max(residuals.values(), default=0.0)
+    texts, order = grid
     doc = {
         "check": check,
         "tolerance": tolerance,
         "max_residual": max_residual,
         "passed": max_residual <= tolerance,
-        "residuals": [
-            {"at": _obj(cell), "residual": value}
-            for cell, value in sorted(residuals.items(), key=lambda t: t[0].items_sorted)
-        ],
-        "skipped": [
-            {"at": _obj(cell), "reason": reason}
-            for cell, reason in sorted(skipped, key=lambda t: t[0].items_sorted)
-        ],
+        "residuals": _RESIDUALS(
+            [(texts[c], format_float(residuals[c])) for c in order if c in residuals]
+        ),
+        "skipped": _SKIPPED_AT([(texts[c], _quote(skipped[c])) for c in order if c in skipped]),
     }
     if details is not None:
         doc["details"] = details
@@ -247,21 +242,26 @@ def _check_doc(check, tolerance, residuals, skipped=(), details=None, max_residu
 
 
 def _check_gauge(joint: JointTable, table: _Rows, tol: float) -> dict:
-    loaded = _loaded(table)
+    loaded, s = _loaded(table), table.split
     fresh = calibrate_rewards(joint, loaded.direction, loaded.terminals, loaded.alpha)
     cmp = gauge_equivalent(
         (loaded.rewards, loaded.terminals), (fresh.rewards, loaded.terminals), joint, tol=tol
     )
     details: dict = {"convention": loaded.rewards.convention}
     if cmp.shifts is not None:
-        details["shifts"] = [
-            {"context": _obj(ctx), "c": cmp.shifts[ctx]}
-            for ctx in sorted(cmp.shifts, key=lambda a: a.items_sorted)
-        ]
+        contexts = _bindings(joint, s.cond, 6)[0]
+        details["shifts"] = _SHIFTS(
+            (format_float(cmp.shifts[s.contexts[ci]]), contexts[ci])
+            for ci in s.order if s.contexts[ci] in cmp.shifts
+        )
     if cmp.witness is not None:
-        details["witness"] = _obj(cmp.witness[0].union(cmp.witness[1]))
-    residuals = {ctx.union(o): v for (ctx, o), v in cmp.residuals.items()}
-    return _check_doc("gauge", tol, residuals, details=details, max_residual=cmp.max_residual)
+        details["witness"] = dict(cmp.witness[0].union(cmp.witness[1]).items_sorted)
+    residuals = {
+        s.ctx_full[s.ctx_index[ctx]] + s.out_full[s.outcome_index[o]]: v
+        for (ctx, o), v in cmp.residuals.items()
+    }
+    full = _bindings(joint, s.full, 5)
+    return _check_doc("gauge", tol, full, residuals, (), details, cmp.max_residual)
 
 
 def _check_admissibility(
@@ -286,9 +286,9 @@ def _check_admissibility(
         rows = _interactions(s)
         tolerance = IDENTITY_TOL if tol is None else tol
         source = "identified from joint"
-    residuals = _admissibility(s, rows)
-    skipped = [(s.contexts[ci], "zero conditioning mass") for ci in s.order if not s.m_cond[ci]]
-    return _check_doc("admissibility", tolerance, residuals, skipped, {"source": source})
+    skipped = {ci: "zero conditioning mass" for ci in s.order if not s.m_cond[ci]}
+    return _check_doc("admissibility", tolerance, _bindings(joint, s.cond, 5),
+                      _admissibility(s, rows), skipped, {"source": source})
 
 
 def _merge_terminals(s, ours: list, theirs: list) -> list:
@@ -329,20 +329,22 @@ def _check_commute(joint: JointTable, loaded: _Rows, swapped: _Rows, tol: float)
         "symmetry_max": max(report.symmetry.values(), default=0.0),
         "commutativity_max": max(report.commutativity.values(), default=0.0),
     }
+    cells = {event: cell for cell, event in enumerate(swapped.split.events)}  # built by the audit
     return _check_doc(
-        "commute", tol, report.commutativity, report.skipped, details, report.max_residual
+        "commute", tol, _bindings(joint, s.full, 5),
+        {cells[event]: v for event, v in report.commutativity.items()},
+        {cells[event]: reason for event, reason in report.skipped}, details, report.max_residual,
     )
 
 
-def _check_decomposition(loaded: _Rows, tol: float) -> dict:
+def _check_decomposition(joint: JointTable, loaded: _Rows, tol: float) -> dict:
     config = SolverConfig(alpha=loaded.alpha)
     s, terminal = loaded.split, loaded.terminals.__getitem__
-    residuals: dict[Assignment, float] = {}
-    skipped: list[tuple[Assignment, str]] = []
+    residuals: dict[int, float] = {}
+    skipped: dict[int, str] = {}
     for ci in s.order:
-        ctx = s.contexts[ci]
         if not s.m_cond[ci]:
-            skipped.append((ctx, "zero conditioning mass"))
+            skipped[ci] = "zero conditioning mass"
             continue
         problem = _problem(s, ci, loaded.rows.get(ci), terminal, config, checked=True)
         solution = solve_tilt(problem)
@@ -352,8 +354,8 @@ def _check_decomposition(loaded: _Rows, tol: float) -> dict:
             if p > 0:
                 point = tuple([1.0 if j == i else 0.0 for j in range(n)])
                 probes.append(_trusted(DistVector, over=over, probs=point))
-        residuals[ctx] = max(_decomposition_residual(problem, solution, probe) for probe in probes)
-    return _check_doc("decomposition", tol, residuals, skipped)
+        residuals[ci] = max(_decomposition_residual(problem, solution, probe) for probe in probes)
+    return _check_doc("decomposition", tol, _bindings(joint, s.cond, 5), residuals, skipped)
 
 
 def cmd_check(args) -> int:
@@ -387,7 +389,7 @@ def cmd_check(args) -> int:
         elif name == "commute":
             reports.append(_check_commute(joint, loaded, swapped, identity_tol))
         elif name == "decomposition":
-            reports.append(_check_decomposition(loaded, identity_tol))
+            reports.append(_check_decomposition(joint, loaded, identity_tol))
     all_passed = all(r["passed"] for r in reports)
     doc = direction_fields(loaded.direction)
     doc.update(
@@ -410,30 +412,26 @@ def cmd_construct(args) -> int:
     _require_context_coverage(table, "interaction file")
     s = table.split
     tol_admit = tol if tol is not None else ADMIT_TOL
+    contexts, outcomes = _bindings(joint, s.cond, 3)[0], _bindings(joint, s.target, 5)[0]
     entries = []
     skipped = []
     for ci in s.order:
         row = table.rows.get(ci)
         if row is None:
             continue
-        ctx = s.contexts[ci]
         try:
             prior, signal = s.aligned(ci, row, "interaction table")
         except ZeroMassContext:
             if not args.skip_zero_mass:
                 raise
-            skipped.append({"context": _obj(ctx), "reason": "zero base mass"})
+            skipped.append((contexts[ci], _ZERO_BASE))
             continue
         posterior, residual = _posterior_and_residual(prior, signal, tol_admit)
-        entries.append(
-            {
-                "context": _obj(ctx),
-                "posterior": _dist_entries(s, posterior),
-                "normalization_residual": residual,
-            }
-        )
+        entries.append((contexts[ci], format_float(residual),
+                        _dist_text(s, outcomes, posterior)))
     doc = direction_fields(table.direction)
-    doc.update({"tol_admit": tol_admit, "entries": entries, "skipped": skipped})
+    doc.update({"tol_admit": tol_admit, "entries": _CONSTRUCTED(entries),
+                "skipped": _SKIPPED(skipped)})
     _emit(args.out, doc)
     return 0
 

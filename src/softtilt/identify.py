@@ -97,7 +97,8 @@ class _Split:
     Holds the marginals over the full, conditioning, base and prior (base +
     target) groups as flat int lists, the offsets that join outcome and
     context indices into cell indices, and the `Assignment`s that callers
-    receive. Built once per joint and direction by `_split`.
+    receive; those over the full and base groups, `events` and `bases`, are
+    built on first use. Built once per joint and direction by `_split`.
     """
 
     def __init__(self, joint: JointTable, direction: Direction):
@@ -113,14 +114,22 @@ class _Split:
         for bi, at in enumerate(joint._offsets(cond, base)):
             for o in joint._offsets(cond, observed):
                 self.ctx_base[at + o] = bi
-        self.target, self.cond = target, cond
+        self.target, self.cond, self.full = target, cond, full
         self.target_specs = tuple(joint.variables[v] for v in target)
         self.outcomes, self.outcome_order, self.outcome_index = _grid(joint, target)
         self.contexts, self.order, self.ctx_index = _grid(joint, cond)
-        self.events = _grid(joint, full)[0]
-        self.bases = _grid(joint, base)[0]
+        self._lazy = {name: [joint.variables[v] for v in group]
+                      for name, group in (("events", full), ("bases", base))}
         self.conditioning = direction.conditioning
         self._priors: dict[int, DistVector] = {}
+
+    def __getattr__(self, name: str):
+        # called only while `events` or `bases` is unset
+        if name not in ("events", "bases"):
+            raise AttributeError(name)
+        grid = tuple(iter_group_assignments(self._lazy[name]))
+        setattr(self, name, grid)
+        return grid
 
     def locate(self, ctx: Assignment) -> int:
         """Index of a context over exactly the conditioning group."""
@@ -164,13 +173,9 @@ class _Split:
 def _grid(joint: JointTable, group: tuple[int, ...]):
     """The assignments over a group of variable indices in cell order, their
     indices sorted by `items_sorted`, and the index of each assignment."""
-    key = ("grid", group)
-    grid = joint._derived.get(key)
-    if grid is None:
-        cells = tuple(iter_group_assignments(joint.variables[v] for v in group))
-        order = sorted(range(len(cells)), key=lambda i: cells[i].items_sorted)
-        grid = joint._derived[key] = (cells, order, {a: i for i, a in enumerate(cells)})
-    return grid
+    cells = tuple(iter_group_assignments(joint.variables[v] for v in group))
+    order = sorted(range(len(cells)), key=lambda i: cells[i].items_sorted)
+    return cells, order, {a: i for i, a in enumerate(cells)}
 
 
 def _split(joint: JointTable, direction: Direction) -> _Split:
@@ -484,14 +489,13 @@ def check_admissibility(table: InteractionTable, joint: JointTable) -> dict[Assi
     """Per-context |log sum_x P(x|base) exp(i(x))|; zero for any true interaction."""
     s = _split(joint, table.direction)
     rows = ((s.locate(ctx), s.row(table.values[ctx])) for ctx in table.contexts())
-    return _admissibility(s, rows)
+    return {s.contexts[ci]: v for ci, v in _admissibility(s, rows).items()}
 
 
-def _admissibility(s: _Split, rows) -> dict[Assignment, float]:
-    """`check_admissibility` over (context index, row) pairs of a `_Split`."""
+def _admissibility(s: _Split, rows) -> dict[int, float]:
+    """`check_admissibility` over (context index, row) pairs of a `_Split`, by context index."""
     return {
-        s.contexts[ci]: abs(_log_normalizer(*s.aligned(ci, row, "interaction table"))[1])
-        for ci, row in rows
+        ci: abs(_log_normalizer(*s.aligned(ci, row, "interaction table"))[1]) for ci, row in rows
     }
 
 

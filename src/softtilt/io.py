@@ -4,8 +4,13 @@ All emitted documents are rendered by a local writer: keys sorted, entry
 lists in canonical (lexicographic assignment) order, numbers at 17
 significant digits, nonfinite floats as quoted strings ("-inf" is the
 interaction sentinel). Same inputs and flags therefore produce
-byte-identical bytes. Reward and interaction tables are written straight
-to text, with the same bytes, each binding object rendered once per table.
+byte-identical bytes. `_Shape` writes every entry list of a report or
+artifact (the reward and interaction tables, `solve`'s and `construct`'s
+entries, each check's residuals, skipped cells and shifts, and `identify`'s
+context values, excluded cells and skipped contexts) from one template per
+entry shape, with binding texts that `_bindings` renders once per grid cell
+and depth. `_render` writes the small headers around them, and
+`dumps_report` serves library callers, with the same bytes.
 
 The joint, reward and interaction readers resolve a binding (`assign`,
 `context`, `outcome`) that is a plain dict of known names and labels by one
@@ -31,6 +36,7 @@ from .errors import CoverageMismatch, SchemaError, SoftTiltError, ValidationErro
 from .identify import Direction, GaugeShift, InteractionTable, RewardTable, _split, _Split
 
 JOINT_SUM_TOL = 1e-9
+_MAX = int(1.7976931348623157e308)  # an int no larger in size converts to a finite float
 
 
 # ---------------------------------------------------------------- reading
@@ -292,7 +298,7 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
     _require(isinstance(entry_docs, list), "'entries' must be an array")
     ctx_full, out_full, isfinite = s.ctx_full, s.out_full, math.isfinite
     rows: dict[int, list] = {}
-    terminals = [None] * len(s.events) if rewards else None
+    terminals = [None] * len(s.m_full) if rewards else None
     ctx_memo: dict[tuple, int] = {}
     out_memo: dict[tuple, int] = {}
     for item in entry_docs:
@@ -309,20 +315,24 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
         at = s.contexts[ci], s.outcomes[ti]
         if row[ti] is not None:
             raise SchemaError("duplicate entry at {}/{}".format(*at))
-        # finite floats are most values, and skip `_number`
+        # finite floats, and plain ints in the double range, are most values and skip `_number`
         if rewards:
             r, v = item.get("r"), item.get("V")
             if type(r) is not float or not isfinite(r):
-                r = _number(r, lambda: "'r' at {}/{} must be a finite number".format(*at))
+                r = float(r) if type(r) is int and abs(r) <= _MAX else _number(
+                    r, lambda: "'r' at {}/{} must be a finite number".format(*at))
             if type(v) is not float or not isfinite(v):
-                v = _number(v, lambda: "'V' at {}/{} must be a finite number".format(*at))
+                v = float(v) if type(v) is int and abs(v) <= _MAX else _number(
+                    v, lambda: "'V' at {}/{} must be a finite number".format(*at))
             row[ti], terminals[ctx_full[ci] + out_full[ti]] = r, v
             continue
         i = item.get("i")
         if type(i) is not float or not isfinite(i):
-            i = -math.inf if i == "-inf" else _number(
-                i, lambda: "'i' at {}/{} must be a number or \"-inf\"".format(*at)
-            )
+            if type(i) is int and abs(i) <= _MAX:
+                i = float(i)
+            else:
+                i = -math.inf if i == "-inf" else _number(
+                    i, lambda: "'i' at {}/{} must be a number or \"-inf\"".format(*at))
         row[ti] = i
     for ci, row in rows.items() if rewards else ():
         if None not in row or not s.m_cond[ci]:
@@ -353,21 +363,13 @@ def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRe
 
 
 def _table_text(direction: Direction, alpha: float | None, rows, names, values) -> str:
-    """A reward or interaction document, rendered as `dumps_report` renders it: an
-    entry per context and outcome of rows in canonical order, whose value fields
-    `names` hold the floats values(context, outcome, value) returns, in that order.
-
-    Each binding object is rendered once per table, and every entry comes from
-    one template whose keys are sorted once."""
+    """A reward or interaction document: an entry per context and outcome of
+    rows, sorted into canonical order, whose value fields `names` hold the
+    floats values(context, outcome, value) returns, in that order."""
     header = direction_fields(direction)
     if alpha is not None:
         header["alpha"] = float(alpha)
-    slots = {"context": "{0}", "outcome": "{1}"}
-    slots.update((name, f"{{{at}}}") for at, name in enumerate(names, 2))
-    template = "    {{\n" + ",\n".join(
-        f"      {_quote(key)}: {slots[key]}" for key in sorted(slots)
-    ) + "\n    }}"
-    outcome_texts: dict[Assignment, str] = {}
+    outcome_texts: dict[Assignment, str] = {}  # each binding object rendered once per table
     entries = []
     for ctx, row in sorted(rows.items(), key=lambda t: t[0].items_sorted):
         ctx_text = _render(dict(ctx.items_sorted), 3)
@@ -375,12 +377,10 @@ def _table_text(direction: Direction, alpha: float | None, rows, names, values) 
             outcome_text = outcome_texts.get(outcome)
             if outcome_text is None:
                 outcome_text = outcome_texts[outcome] = _render(dict(outcome.items_sorted), 3)
-            floats = map(format_float, values(ctx, outcome, row[outcome]))
-            entries.append(template.format(ctx_text, outcome_text, *floats))
-    fields = [f"  {_quote(key)}: {_render(value, 1)}" for key, value in sorted(header.items())]
-    # "entries" sorts after every header key
-    fields.append('  "entries": ' + ("[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"))
-    return "{\n" + ",\n".join(fields) + "\n}"
+            entries.append((ctx_text, outcome_text,
+                            *map(format_float, values(ctx, outcome, row[outcome]))))
+    header["entries"] = _Shape(1, "context", "outcome", *names)(entries)
+    return _render(header, 0)
 
 
 def reward_to_text(
@@ -501,6 +501,48 @@ def format_float(x: float) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _Raw(str):
+    """JSON text rendered already, which `_render` inserts as it is."""
+
+
+class _Shape:
+    """One entry shape: a list at `depth` of objects with the given keys, each filled
+    from a row of its fields' texts in the keys' order, as `_render` renders the
+    dicts. The keys are sorted once, into one `str.format` template."""
+
+    def __init__(self, depth: int, *keys: str):
+        pad, inner = "  " * (depth + 1), "  " * (depth + 2)
+        slots = sorted(zip(keys, range(len(keys))))
+        quoted = ((_quote(key).replace("{", "{{").replace("}", "}}"), at) for key, at in slots)
+        fields = ",\n".join(f"{inner}{key}: {{{at}}}" for key, at in quoted)
+        self.template, self.close = f"{pad}{{{{\n{fields}\n{pad}}}}}", "\n" + "  " * depth + "]"
+
+    def __call__(self, rows) -> _Raw:
+        items = [self.template.format(*row) for row in rows]
+        return _Raw("[\n" + ",\n".join(items) + self.close if items else "[]")
+
+
+def _bindings(joint: JointTable, group: tuple[int, ...], depth: int) -> tuple[list, list]:
+    """Each assignment over a group of variable indices as `_render` renders its
+    dict at depth, by cell index, and the cell indices in canonical order: the
+    variables walked in name order, each one's labels sorted. Built from one line
+    per label, once per joint, group and depth."""
+    key = ("bindings", group, depth)
+    hit = joint._derived.get(key)
+    if hit is None:
+        inner, parts = "  " * (depth + 1), [((), 0)]
+        for v in sorted(group, key=lambda v: joint.variables[v].name):
+            spec = joint.variables[v]
+            axis = sorted(zip(spec.alphabet, joint._offsets(group, (v,))))
+            parts = [(lines + (f"{inner}{_quote(spec.name)}: {_quote(label)}",), cell + off)
+                     for lines, cell in parts for label, off in axis]
+        texts, close = [""] * len(parts), "\n" + "  " * depth + "}"
+        for lines, cell in parts:
+            texts[cell] = "{\n" + ",\n".join(lines) + close
+        hit = joint._derived[key] = (texts, [cell for _, cell in parts])
+    return hit
+
+
 def dumps_report(doc) -> str:
     """Deterministic JSON: sorted keys, 17 significant digits, 2-space indent."""
     return _render(doc, 0)
@@ -509,7 +551,7 @@ def dumps_report(doc) -> str:
 def _render(obj, depth: int) -> str:
     # scalars first: they are most of a report, and miss the Mapping check slowly
     if isinstance(obj, str):
-        return _quote(obj)
+        return obj if type(obj) is _Raw else _quote(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, bool):

@@ -163,6 +163,15 @@ VALUE_CASES = [
      "error: 'V' at Y=0,Z=1/X=1 must be a finite number\n"),
     ("interaction-i-true", "--interaction", with_entry_at("i", 3, i=True), 2,
      "error: 'i' at Y=0,Z=1/X=1 must be a number or \"-inf\"\n"),
+    # integer literals past the double range, and strings, are not numbers
+    ("rewards-r-oversized-int", "--rewards", with_entry_at("r", 3, r=2**1024 - 2**970), 2,
+     "error: 'r' at Y=0,Z=1/X=1 must be a finite number\n"),
+    ("rewards-v-oversized-int", "--rewards", with_entry_at("r", 3, V=-(10**400)), 2,
+     "error: 'V' at Y=0,Z=1/X=1 must be a finite number\n"),
+    ("interaction-i-oversized-int", "--interaction", with_entry_at("i", 3, i=10**400), 2,
+     "error: 'i' at Y=0,Z=1/X=1 must be a number or \"-inf\"\n"),
+    ("rewards-v-string", "--rewards", with_entry_at("r", 3, V="0"), 2,
+     "error: 'V' at Y=0,Z=1/X=1 must be a finite number\n"),
     # the first context the file names is checked first, not the first in canonical order
     ("rewards-two-missing-entries", "--rewards",
      reversed_without("r", ("1", "1", "1"), ("0", "0", "1")), 4,

@@ -8,6 +8,9 @@ and without one, each check alone and all together in both directions,
 check --interaction and construct. Each digest covers the exit code, stdout
 and every artifact the invocation writes, so any change to the bytes the
 CLI produces fails here. Only invocations that exit 0 or 1 are pinned.
+The same stdouts and artifacts must each equal `dumps_report` of their own
+parse, which holds the report writer to the plain renderer on every report
+kind without naming either.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 
 from softtilt import fixture_path
 from softtilt.cli import main
-from softtilt.io import joint_to_doc
+from softtilt.io import dumps_report, joint_to_doc
 from helpers import overflow_joint, sparse_joint
 
 CHECKS = ("gauge", "admissibility", "decomposition", "commute")
@@ -111,8 +114,9 @@ def invocations(root: Path, joint: str, fill: bool) -> list[tuple[str, list[str]
     return runs
 
 
-def run_all(root: Path, capsys) -> dict[str, str]:
-    """sha256 of exit code, stdout and artifacts for every invocation that exits 0 or 1."""
+def run_all(root: Path, capsys, texts: list | None = None) -> dict[str, str]:
+    """sha256 of exit code, stdout and artifacts for every invocation that exits 0
+    or 1; texts, when given, collects each such stdout and artifact."""
     digests = {}
     for name, (joint, fill) in write_joints(root).items():
         work = root / name
@@ -126,6 +130,9 @@ def run_all(root: Path, capsys) -> dict[str, str]:
             for path in artifacts:
                 h.update(b"\0" + path.read_bytes())
             digests[f"{name}/{label}"] = h.hexdigest()
+            if texts is not None:
+                texts += [(label, out)] if out else []
+                texts += [(path.name, path.read_text(encoding="utf-8")) for path in artifacts]
     return digests
 
 
@@ -244,3 +251,12 @@ def test_cli_bytes_match_golden(tmp_path, capsys):
     changed = [label for label, digest in GOLDEN.items() if digests[label] != digest]
     assert changed == []
 
+
+def test_every_report_re_renders_to_its_bytes(tmp_path, capsys):
+    """Each report and artifact is `dumps_report` of its own parse, which pins the
+    writer's bytes without a reference to it."""
+    texts: list[tuple[str, str]] = []
+    run_all(tmp_path, capsys, texts)
+    assert len(texts) > len(GOLDEN)
+    changed = [label for label, text in texts if text != dumps_report(json.loads(text)) + "\n"]
+    assert changed == []

@@ -22,13 +22,17 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from softtilt import Assignment, fixture_path
 from softtilt.cli import main
+from softtilt.errors import SchemaError
 from softtilt.io import _read_rows, interaction_from_doc, joint_from_doc, joint_to_doc
 from softtilt.io import reward_from_doc
 from helpers import random_direction, sparse_random_joint, tag
@@ -167,3 +171,42 @@ class TestRespelledFiles:
         assert (alpha_a, dir_a, terms_a) == (alpha_b, dir_b, terms_b)
         # each file lists its contexts in the order it first names them
         assert dict(rows_a) == dict(rows_b)
+
+
+class TestIntegerLiterals:
+    """A plain int value converts as `float` does; past the double range it is a fault."""
+
+    F3 = {"direction": "x_given_yz", "alpha": 1.0, "entries": [
+        {"context": {"Y": y, "Z": z}, "outcome": {"X": x}, "r": 0.0, "V": 0.0, "i": 0.0}
+        for y in "01" for z in "01" for x in "01"
+    ]}
+    # the largest double as an int, the smallest int that rounds to it from above,
+    # and the largest int that rounds to it at all
+    FINITE = (0, -3, 2**53 + 1, int(sys.float_info.max), int(sys.float_info.max) + 1,
+              2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1))
+    INFINITE = (2**1024 - 2**970, -(2**1024 - 2**970), 10**400)
+
+    def _read(self, kind: str, field: str, value) -> float:
+        """The value read at Y=0,Z=1/X=1 when its field holds value."""
+        doc = json.loads(json.dumps(self.F3))
+        doc["entries"][3][field] = value
+        joint = joint_from_doc(json.loads(fixture_path("f3.json").read_text(encoding="utf-8")))
+        table = _read_rows(doc, joint, kind)
+        s = table.split
+        ci = s.ctx_index[Assignment({"Y": "0", "Z": "1"})]
+        ti = s.outcome_index[Assignment({"X": "1"})]
+        if field == "V":
+            return table.terminals[s.ctx_full[ci] + s.out_full[ti]]
+        return table.rows[ci][ti]
+
+    def test_finite_ints_read_as_floats(self):
+        for n in self.FINITE:
+            for kind, field in (("reward", "r"), ("reward", "V"), ("interaction", "i")):
+                value = self._read(kind, field, n)
+                assert type(value) is float and value == float(n)
+
+    def test_oversized_ints_and_bools_are_faults(self):
+        for n in (*self.INFINITE, True, False):
+            for kind, field in (("reward", "r"), ("reward", "V"), ("interaction", "i")):
+                with pytest.raises(SchemaError, match=f"'{field}' at Y=0,Z=1/X=1 must be"):
+                    self._read(kind, field, n)
