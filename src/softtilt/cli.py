@@ -37,30 +37,29 @@ from .identify import (
     IDENTITY_TOL,
     Direction,
     _admissibility,
+    _calibrate,
+    _gauge,
     _interactions,
+    _lookup,
     _posterior_and_residual,
     _split,
-    calibrate_rewards,
     default_direction,
-    gauge_equivalent,
 )
 from .io import (
     _bindings,
-    _loaded,
     _quote,
     _read_rows,
     _render,
     _Rows,
     _Shape,
+    _table_text,
     baseline_from_doc,
     direction_fields,
     direction_from_tag,
     family_from_doc,
     format_float,
-    interaction_to_text,
     joint_from_doc,
     load_json,
-    reward_to_text,
     values_from_doc,
 )
 from .tilt import SolverConfig, _decomposition_residual, solve_tilt
@@ -191,28 +190,27 @@ def cmd_identify(args) -> int:
     terminals = (
         values_from_doc(load_json(args.values), joint) if args.values else EventValueFunction.zero()
     )
-    calib = calibrate_rewards(joint, direction, terminals, args.alpha, baseline=baseline)
     s = _split(joint, direction)
+    terminal, interactions = _lookup(s, terminals), dict(_interactions(s))
+    rows, values, excluded = _calibrate(s, interactions.items(), terminal, args.alpha, baseline)
     contexts, outcomes = _bindings(joint, s.cond, 3)[0], _bindings(joint, s.target, 3)[0]
-    # calibration lists the context values and the excluded cells in canonical order
-    values = [(format_float(v), contexts[s.ctx_index[ctx]])
-              for ctx, v in calib.context_values.items()]
-    excluded = [(contexts[s.ctx_index[ctx]], outcomes[s.outcome_index[o]], _ZERO_CELL)
-                for ctx, o in calib.excluded]
     report = direction_fields(direction)
     report.update({
         "alpha": float(args.alpha),
-        "contexts": len(calib.interaction.values),
-        "context_values": _CONTEXT_VALUES(values),
-        "excluded": _EXCLUDED(excluded),
+        "contexts": len(interactions),
+        "context_values": _CONTEXT_VALUES((format_float(v), contexts[ci])
+                                          for ci, v in values.items()),
+        "excluded": _EXCLUDED((contexts[ci], outcomes[ti], _ZERO_CELL) for ci, ti in excluded),
         "skipped": _SKIPPED((contexts[ci], _ZERO_CONTEXT) for ci in s.order if not s.m_cond[ci]),
     })
-    prefix = args.out
-    rewards = reward_to_text(args.alpha, calib.rewards, terminals, joint)
+    interaction = _table_text(joint, direction, args.alpha, interactions, ("i",),
+                              lambda ci, ti, i: (i,))
+    rewards = _table_text(joint, direction, args.alpha, rows, ("r", "V"),
+                          lambda ci, ti, r: (r, terminal(s.ctx_full[ci] + s.out_full[ti])))
     _write_files([
-        (f"{prefix}.interaction.json", interaction_to_text(calib.interaction, args.alpha) + "\n"),
-        (f"{prefix}.rewards.json", rewards + "\n"),
-        (f"{prefix}.report.json", _render(report, 0) + "\n"),
+        (f"{args.out}.interaction.json", interaction + "\n"),
+        (f"{args.out}.rewards.json", rewards + "\n"),
+        (f"{args.out}.report.json", _render(report, 0) + "\n"),
     ])
     return 0
 
@@ -242,26 +240,20 @@ def _check_doc(check, tolerance, grid, residuals, skipped=(), details=None, max_
 
 
 def _check_gauge(joint: JointTable, table: _Rows, tol: float) -> dict:
-    loaded, s = _loaded(table), table.split
-    fresh = calibrate_rewards(joint, loaded.direction, loaded.terminals, loaded.alpha)
-    cmp = gauge_equivalent(
-        (loaded.rewards, loaded.terminals), (fresh.rewards, loaded.terminals), joint, tol=tol
-    )
-    details: dict = {"convention": loaded.rewards.convention}
-    if cmp.shifts is not None:
+    s, terminal = table.split, table.terminals.__getitem__
+    fresh = _calibrate(s, _interactions(s), terminal, table.alpha)[0]
+    if table.rows.keys() != fresh.keys():
+        raise CoverageMismatch("reward tables cover different context sets")
+    rows = ((ci, table.rows[ci], row) for ci, row in fresh.items())  # in canonical order
+    residuals, shifts, max_residual, witness = _gauge(s, rows, terminal, terminal)
+    details: dict = {"convention": "external"}
+    if max_residual <= tol:
         contexts = _bindings(joint, s.cond, 6)[0]
-        details["shifts"] = _SHIFTS(
-            (format_float(cmp.shifts[s.contexts[ci]]), contexts[ci])
-            for ci in s.order if s.contexts[ci] in cmp.shifts
-        )
-    if cmp.witness is not None:
-        details["witness"] = dict(cmp.witness[0].union(cmp.witness[1]).items_sorted)
-    residuals = {
-        s.ctx_full[s.ctx_index[ctx]] + s.out_full[s.outcome_index[o]]: v
-        for (ctx, o), v in cmp.residuals.items()
-    }
+        details["shifts"] = _SHIFTS((format_float(c), contexts[ci]) for ci, c in shifts.items())
+    else:  # a residual above tol >= 0 was seen, so there is a witness
+        details["witness"] = dict(s.events[witness].items_sorted)
     full = _bindings(joint, s.full, 5)
-    return _check_doc("gauge", tol, full, residuals, (), details, cmp.max_residual)
+    return _check_doc("gauge", tol, full, residuals, (), details, max_residual)
 
 
 def _check_admissibility(

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     ZeroMassContext,
 )
-from .identify import IDENTITY_TOL, Direction, RewardTable, _interactions, _split
+from .identify import IDENTITY_TOL, Direction, RewardTable, _interactions, _lookup, _split
 from .tilt import SoftUpdateProblem, SolverConfig, solve_tilt
 
 
@@ -120,11 +120,6 @@ def build_problem(
     s = _split(joint, direction)
     ci, row = s.locate(ctx), rewards.entries.get(ctx)
     return _problem(s, ci, None if row is None else s.row(row), _lookup(s, values), config)
-
-
-def _lookup(s, values: EventValueFunction):
-    """The terminal value at a full-group cell index of a `_Split`."""
-    return lambda cell: float(values.value(s.events[cell]))
 
 
 def _problem(s, ci: int, row, terminal, config: SolverConfig, checked=False) -> SoftUpdateProblem:

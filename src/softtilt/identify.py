@@ -156,6 +156,13 @@ class _Split:
         """A row keyed by outcome as a list in outcome-index order, None where absent."""
         return [values.get(outcome) for outcome in self.outcomes]
 
+    def table(self, rows) -> dict[Assignment, dict[Assignment, float]]:
+        """(context index, row) pairs, rows as `row` gives them, keyed by context and outcome."""
+        return {
+            self.contexts[ci]: {o: v for o, v in zip(self.outcomes, row) if v is not None}
+            for ci, row in rows
+        }
+
     def aligned(self, ci: int, row: list, what: str) -> tuple[DistVector, list[float]]:
         """Context ci's prior and the row's values (a list in outcome-index order,
         None where absent) with 0.0 off the prior's support; the `what` row
@@ -184,6 +191,11 @@ def _split(joint: JointTable, direction: Direction) -> _Split:
     if split is None:
         split = joint._derived[key] = _Split(joint, direction)
     return split
+
+
+def _lookup(s: _Split, values: "EventValueFunction"):
+    """The terminal value at a full-group cell index of a `_Split`."""
+    return lambda cell: float(values.value(s.events[cell]))
 
 
 def _interactions(s: _Split):
@@ -294,11 +306,7 @@ def identify_interaction(joint: JointTable, direction: Direction) -> Interaction
     ratio.
     """
     s = _split(joint, direction)
-    values = {
-        s.contexts[ci]: {o: v for o, v in zip(s.outcomes, row) if v is not None}
-        for ci, row in _interactions(s)
-    }
-    return InteractionTable(direction=direction, values=values)
+    return InteractionTable(direction=direction, values=s.table(_interactions(s)))
 
 
 def calibrate_rewards(
@@ -318,55 +326,60 @@ def calibrate_rewards(
     """
     if on_infinite not in ("exclude", "error"):
         raise ValidationError(f"on_infinite must be 'exclude' or 'error', got {on_infinite!r}")
+    s = _split(joint, direction)
+    interaction = dict(_interactions(s))
+    rows, values, excluded = _calibrate(
+        s, interaction.items(), _lookup(s, terminal), alpha, baseline, on_infinite
+    )
+    convention = "zero context baseline" if baseline is None else "supplied context baseline"
+    return CalibrationResult(
+        rewards=RewardTable(direction, s.table(rows.items()), convention),
+        context_values={s.contexts[ci]: v for ci, v in values.items()},
+        excluded=tuple((s.contexts[ci], s.outcomes[ti]) for ci, ti in excluded),
+        alpha=alpha,
+        interaction=InteractionTable(direction, s.table(interaction.items())),
+    )
+
+
+def _calibrate(s: _Split, interactions, terminal, alpha, baseline=None, on_infinite="exclude"):
+    """`calibrate_rewards` over `_interactions` rows, terminal(cell) being V at a full-group
+    cell index: the reward rows (None where no reward is finite) and context values by
+    context index, and the excluded (context index, outcome index) cells, in canonical order."""
     if not math.isfinite(alpha) or alpha <= 0:
         raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
-    table = identify_interaction(joint, direction)
-    s = _split(joint, direction)
-    entries: dict[Assignment, dict[Assignment, float]] = {}
-    context_values: dict[Assignment, float] = {}
-    excluded: list[tuple[Assignment, Assignment]] = []
-    for ci in s.order:
-        ctx = s.contexts[ci]
-        values = table.values.get(ctx)
-        if values is None:
-            continue  # zero-mass context
+    rows: dict[int, list] = {}
+    context_values: dict[int, float] = {}
+    excluded: list[tuple[int, int]] = []
+    for ci, interaction in interactions:
+        ctx, at = s.contexts[ci], s.ctx_full[ci]
         shift = baseline.value(ctx) if baseline is not None else 0.0
         if not math.isfinite(shift):
             raise ValidationError(f"baseline at {ctx} must be finite, got {shift!r}")
-        context_values[ctx] = shift
-        row: dict[Assignment, float] = {}
+        context_values[ci] = shift
+        row = rows[ci] = [None] * len(interaction)
         for ti in s.outcome_order:
-            outcome = s.outcomes[ti]
-            value = values.get(outcome)
+            value = interaction[ti]
             if value is None:
                 continue  # zero prior conditional
             if value == -math.inf:
                 if on_infinite == "error":
                     raise InfiniteInteraction(
-                        f"posterior-null cell at context {ctx}, outcome {outcome}"
+                        f"posterior-null cell at context {ctx}, outcome {s.outcomes[ti]}"
                     )
-                excluded.append((ctx, outcome))
+                excluded.append((ci, ti))
                 continue
-            event = s.events[s.ctx_full[ci] + s.out_full[ti]]
-            v_term = float(terminal.value(event))
+            cell = at + s.out_full[ti]
+            v_term = terminal(cell)
             if not math.isfinite(v_term):
-                raise ValidationError(f"terminal value at {event} must be finite, got {v_term!r}")
-            r = row[outcome] = value / alpha - v_term + shift
+                raise ValidationError(f"terminal value at {s.events[cell]} must be finite, "
+                                      f"got {v_term!r}")
+            r = row[ti] = value / alpha - v_term + shift
             if not math.isfinite(r):
                 raise ValidationError(
-                    f"calibrated reward at {ctx}/{outcome} must be finite, "
+                    f"calibrated reward at {ctx}/{s.outcomes[ti]} must be finite, "
                     f"got {r!r} at alpha {alpha!r}"
                 )
-        entries[ctx] = row
-    convention = "zero context baseline" if baseline is None else "supplied context baseline"
-    rewards = RewardTable(direction=direction, entries=entries, convention=convention)
-    return CalibrationResult(
-        rewards=rewards,
-        context_values=context_values,
-        excluded=tuple(excluded),
-        alpha=alpha,
-        interaction=table,
-    )
+    return rows, context_values, excluded
 
 
 def apply_gauge(
@@ -421,46 +434,54 @@ def gauge_equivalent(
     if set(rewards_a.entries) != set(rewards_b.entries):
         raise CoverageMismatch("reward tables cover different context sets")
     s = _split(joint, rewards_a.direction)
-    residuals: dict[tuple[Assignment, Assignment], float] = {}
-    shifts: dict[Assignment, float] = {}
-    max_residual = 0.0
-    witness: tuple[Assignment, Assignment] | None = None
-    for ctx in rewards_a.contexts():
-        # outcomes with positive posterior mass: the behaviorally live cells
-        at = s.ctx_full[s.locate(ctx)]
-        required = [
-            (outcome, s.events[at + o])
-            for outcome, o in zip(s.outcomes, s.out_full)
-            if s.m_full[at + o]
-        ]
-        for side, table in (("a", rewards_a), ("b", rewards_b)):
-            missing = [o for o, _ in required if o not in table.entries[ctx]]
-            if missing:
-                raise CoverageMismatch(f"table {side} misses outcome {missing[0]} at context {ctx}")
-        diffs: dict[Assignment, float] = {}
-        for outcome, event in required:
-            g_a = rewards_a.entries[ctx][outcome] + float(values_a.value(event))
-            g_b = rewards_b.entries[ctx][outcome] + float(values_b.value(event))
-            diffs[outcome] = g_b - g_a
-        if not diffs:
-            shifts[ctx] = 0.0
-            continue
-        center = median(diffs.values())
-        shifts[ctx] = center
-        for outcome, d in diffs.items():
-            r = abs(d - center)
-            residuals[(ctx, outcome)] = r
-            if r > max_residual:
-                max_residual = r
-                witness = (ctx, outcome)
+    # lazy: a context that does not locate fails only after those before it are checked
+    rows = ((s.locate(ctx), s.row(rewards_a.entries[ctx]), s.row(rewards_b.entries[ctx]))
+            for ctx in rewards_a.contexts())
+    residuals, shifts, max_residual, worst = _gauge(s, rows, _lookup(s, values_a),
+                                                    _lookup(s, values_b))
     equivalent = max_residual <= tol
+    pairs = {s.ctx_full[ci] + o: (s.contexts[ci], outcome)
+             for ci in shifts for outcome, o in zip(s.outcomes, s.out_full)}
     return GaugeComparison(
         equivalent=equivalent,
         max_residual=max_residual,
-        witness=None if equivalent else witness,
-        shifts=shifts if equivalent else None,
-        residuals=residuals,
+        witness=None if equivalent else pairs.get(worst),
+        shifts={s.contexts[ci]: c for ci, c in shifts.items()} if equivalent else None,
+        residuals={pairs[cell]: r for cell, r in residuals.items()},
     )
+
+
+def _gauge(s: _Split, rows, terminal_a, terminal_b):
+    """`gauge_equivalent` over (context index, row of a, row of b) in canonical context order,
+    given V at a full-group cell index: the residuals by that index, the shifts by context
+    index, the largest residual and the first cell that attains it, or None."""
+    residuals: dict[int, float] = {}
+    shifts: dict[int, float] = {}
+    max_residual = 0.0
+    witness: int | None = None
+    for ci, row_a, row_b in rows:
+        at = s.ctx_full[ci]
+        # outcomes with positive posterior mass: the behaviorally live cells
+        required = [(ti, at + o) for ti, o in enumerate(s.out_full) if s.m_full[at + o]]
+        for side, row in (("a", row_a), ("b", row_b)):
+            missing = [ti for ti, _ in required if row[ti] is None]
+            if missing:
+                raise CoverageMismatch(f"table {side} misses outcome {s.outcomes[missing[0]]} "
+                                       f"at context {s.contexts[ci]}")
+        diffs: dict[int, float] = {}
+        for ti, cell in required:
+            g_a = row_a[ti] + terminal_a(cell)
+            g_b = row_b[ti] + terminal_b(cell)
+            diffs[cell] = g_b - g_a
+        center = median(diffs.values()) if diffs else 0.0
+        shifts[ci] = center
+        for cell, d in diffs.items():
+            r = abs(d - center)
+            residuals[cell] = r
+            if r > max_residual:
+                max_residual = r
+                witness = cell
+    return residuals, shifts, max_residual, witness
 
 
 def _log_normalizer(prior: DistVector, signal: Sequence[float]) -> tuple[list[float], float]:

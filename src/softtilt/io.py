@@ -9,8 +9,9 @@ artifact (the reward and interaction tables, `solve`'s and `construct`'s
 entries, each check's residuals, skipped cells and shifts, and `identify`'s
 context values, excluded cells and skipped contexts) from one template per
 entry shape, with binding texts that `_bindings` renders once per grid cell
-and depth. `_render` writes the small headers around them, and
-`dumps_report` serves library callers, with the same bytes.
+and depth. `_table_text` writes the reward and interaction files from rows
+of `_Split` indices, in canonical order. `_render` writes the small headers
+around them, and `dumps_report` serves library callers, with the same bytes.
 
 The joint, reward and interaction readers resolve a binding (`assign`,
 `context`, `outcome`) that is a plain dict of known names and labels by one
@@ -254,14 +255,6 @@ class _Rows:
     rows: dict[int, list]
     terminals: list | None
 
-    def table(self) -> dict[Assignment, dict[Assignment, float]]:
-        """The rows keyed by context and outcome."""
-        s = self.split
-        return {
-            s.contexts[ci]: {o: v for o, v in zip(s.outcomes, row) if v is not None}
-            for ci, row in self.rows.items()
-        }
-
 
 def _indices(joint: JointTable, s: _Split, direction: Direction, ctx, outcome) -> tuple[int, int]:
     """An entry's context and outcome indices in the `_Split`: by label lookup,
@@ -348,63 +341,35 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
     return _Rows(alpha, direction, s, rows, terminals)
 
 
-def _loaded(table: _Rows) -> LoadedRewards:
-    """A rewards document's rows as the public tables."""
-    events = table.split.events
-    values = {events[cell]: v for cell, v in enumerate(table.terminals) if v is not None}
+def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRewards:
+    table = _read_rows(doc, joint, "reward", fill_zero)
+    s, direction = table.split, table.direction
+    values = {s.events[cell]: v for cell, v in enumerate(table.terminals) if v is not None}
     return LoadedRewards(
-        table.alpha, table.direction, RewardTable(table.direction, table.table(), "external"),
+        table.alpha, direction, RewardTable(direction, s.table(table.rows.items()), "external"),
         _trusted(EventValueFunction, _entries=values, _default=None),
     )
 
 
-def reward_from_doc(doc, joint: JointTable, fill_zero: bool = False) -> LoadedRewards:
-    return _loaded(_read_rows(doc, joint, "reward", fill_zero))
+def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, InteractionTable]:
+    table = _read_rows(doc, joint, "interaction")
+    return table.alpha, InteractionTable(table.direction, table.split.table(table.rows.items()))
 
 
-def _table_text(direction: Direction, alpha: float | None, rows, names, values) -> str:
-    """A reward or interaction document: an entry per context and outcome of
-    rows, sorted into canonical order, whose value fields `names` hold the
-    floats values(context, outcome, value) returns, in that order."""
+def _table_text(joint: JointTable, direction: Direction, alpha, rows, names, values) -> str:
+    """A reward or interaction document of rows as `_read_rows` reads them: an entry
+    per value, in canonical order, whose fields `names` hold values(ci, ti, value)."""
+    s = _split(joint, direction)
     header = direction_fields(direction)
     if alpha is not None:
         header["alpha"] = float(alpha)
-    outcome_texts: dict[Assignment, str] = {}  # each binding object rendered once per table
-    entries = []
-    for ctx, row in sorted(rows.items(), key=lambda t: t[0].items_sorted):
-        ctx_text = _render(dict(ctx.items_sorted), 3)
-        for outcome in sorted(row, key=lambda a: a.items_sorted):
-            outcome_text = outcome_texts.get(outcome)
-            if outcome_text is None:
-                outcome_text = outcome_texts[outcome] = _render(dict(outcome.items_sorted), 3)
-            entries.append((ctx_text, outcome_text,
-                            *map(format_float, values(ctx, outcome, row[outcome]))))
+    contexts, outcomes = _bindings(joint, s.cond, 3)[0], _bindings(joint, s.target, 3)[0]
+    entries = [
+        (contexts[ci], outcomes[ti], *map(format_float, values(ci, ti, rows[ci][ti])))
+        for ci in s.order if ci in rows for ti in s.outcome_order if rows[ci][ti] is not None
+    ]
     header["entries"] = _Shape(1, "context", "outcome", *names)(entries)
     return _render(header, 0)
-
-
-def reward_to_text(
-    alpha: float, rewards: RewardTable, terminals: EventValueFunction, joint: JointTable
-) -> str:
-    """The rewards document of a table on the joint; each entry's V is read at
-    its event in the grid of the direction's `_Split`."""
-    s = _split(joint, rewards.direction)
-    ctx_full, out_full, events = s.ctx_full, s.out_full, s.events
-
-    def values(ctx, outcome, r):
-        cell = ctx_full[s.ctx_index[ctx]] + out_full[s.outcome_index[outcome]]
-        return r, float(terminals.value(events[cell]))
-
-    return _table_text(rewards.direction, alpha, rewards.entries, ("r", "V"), values)
-
-
-def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, InteractionTable]:
-    table = _read_rows(doc, joint, "interaction")
-    return table.alpha, InteractionTable(table.direction, table.table())
-
-
-def interaction_to_text(table: InteractionTable, alpha: float | None = None) -> str:
-    return _table_text(table.direction, alpha, table.values, ("i",), lambda ctx, outcome, i: (i,))
 
 
 # -------------------------------------------------- values and baselines

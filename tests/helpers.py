@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -17,11 +18,13 @@ from fractions import Fraction
 from softtilt import (
     Assignment,
     CertificateStatus,
+    CoverageMismatch,
     DistVector,
     EventValueFunction,
     GaugeShift,
     InvalidBounds,
     JointTable,
+    RewardTable,
     SoftUpdateProblem,
     SolverConfig,
     UndefinedPMI,
@@ -264,6 +267,64 @@ def ref_pmi(joint: JointTable, x, z, y) -> float:
         return math.log(x)
     # beyond the normal range: the logs of the lowest-terms numerator and denominator
     return math.log(ratio.numerator) - math.log(ratio.denominator)
+
+
+def ref_rewards(joint: JointTable, direction, terminals: EventValueFunction, alpha) -> RewardTable:
+    """Rewards i/alpha - V under the zero baseline, i from `ref_pmi`, on every
+    positive-mass context; outcomes of zero prior are absent, and posterior-null
+    cells are left out, as calibration excludes them."""
+    outcomes = list(iter_group_assignments(joint.group(direction.target)))
+    entries = {}
+    for ctx in contexts_of(joint, direction.conditioning):
+        if not ref_event_mass(joint, ctx):
+            continue
+        row = entries[ctx] = {}
+        for outcome in outcomes:
+            try:
+                i = ref_pmi(joint, outcome, ctx.restrict(direction.observed),
+                            ctx.restrict(direction.base))
+            except UndefinedPMI:
+                continue  # zero prior conditional
+            if i > -math.inf:
+                row[outcome] = i / alpha - float(terminals.value(outcome.union(ctx))) + 0.0
+    return RewardTable(direction, entries)
+
+
+def ref_gauge(a, b, joint: JointTable):
+    """The gauge comparison of two (RewardTable, EventValueFunction) pairs, keyed
+    by Assignment. Per context in canonical order, over the outcomes of positive
+    joint mass in alphabet-product order (last variable fastest), it takes the
+    differences (r_b + V_b) - (r_a + V_a), their median as the context's shift,
+    and each difference's distance from it as the residual. Returns the
+    residuals by (context, outcome), the shifts by context, the largest residual
+    and the first (context, outcome) that attains it, or None."""
+    (rewards_a, values_a), (rewards_b, values_b) = a, b
+    if set(rewards_a.entries) != set(rewards_b.entries):
+        raise CoverageMismatch("reward tables cover different context sets")
+    outcomes = list(iter_group_assignments(joint.group(rewards_a.direction.target)))
+    residuals, shifts = {}, {}
+    max_residual, witness = 0.0, None
+    for ctx in sorted(rewards_a.entries, key=lambda c: c.items_sorted):
+        live = [o for o in outcomes if ref_event_mass(joint, o.union(ctx))]
+        for side, table in (("a", rewards_a), ("b", rewards_b)):
+            missing = [o for o in live if o not in table.entries[ctx]]
+            if missing:
+                raise CoverageMismatch(f"table {side} misses outcome {missing[0]} at context {ctx}")
+        diffs = {}
+        for outcome in live:
+            event = outcome.union(ctx)
+            g_a = rewards_a.entries[ctx][outcome] + float(values_a.value(event))
+            g_b = rewards_b.entries[ctx][outcome] + float(values_b.value(event))
+            diffs[outcome] = g_b - g_a
+        if not diffs:
+            shifts[ctx] = 0.0
+            continue
+        shifts[ctx] = center = statistics.median(diffs.values())
+        for outcome, d in diffs.items():
+            residuals[ctx, outcome] = r = abs(d - center)
+            if r > max_residual:
+                max_residual, witness = r, (ctx, outcome)
+    return residuals, shifts, max_residual, witness
 
 
 def ref_table_doc(direction, alpha, rows, fields) -> dict:

@@ -33,9 +33,9 @@ from softtilt import (
     total_variation,
 )
 from softtilt.cli import _merge_terminals
-from softtilt.coherence import _lookup, _problem
-from softtilt.identify import _split
-from softtilt.io import _loaded, _read_rows, reward_to_text
+from softtilt.coherence import _problem
+from softtilt.identify import _calibrate, _interactions, _lookup, _split
+from softtilt.io import _read_rows, _table_text, reward_from_doc
 from helpers import random_baseline, random_joint, random_terminals, sparse_joint
 
 FWD = Direction(target=("X",), base=("Y",), observed=("Z",))
@@ -376,16 +376,18 @@ class TestFrontDoors:
         """sparse_joint's identified reward files read back with fill_zero, each
         with extra entries (context, outcome) of reward 0 added first."""
         j = sparse_joint()
-        loaded = []
+        docs = []
         for direction, extra in ((FWD, fwd_extra), (FWD.swapped(), swp_extra)):
-            calib = calibrate_rewards(j, direction, EventValueFunction.zero(), alpha=1.0)
-            doc = json.loads(reward_to_text(1.0, calib.rewards, EventValueFunction.zero(), j))
+            s = _split(j, direction)
+            rows = _calibrate(s, _interactions(s), lambda cell: 0.0, 1.0)[0]
+            text = _table_text(j, direction, 1.0, rows, ("r", "V"), lambda ci, ti, r: (r, 0.0))
+            doc = json.loads(text)
             doc["entries"] += [
                 {"context": ctx, "outcome": outcome, "r": 0.0, "V": 0.0}
                 for ctx, outcome in extra
             ]
-            loaded.append(_read_rows(doc, j, "reward", fill_zero=True))
-        fwd, swp = loaded
+            docs.append(doc)
+        fwd, swp = (_read_rows(doc, j, "reward", fill_zero=True) for doc in docs)
         s = fwd.split
         merged = _merge_terminals(s, fwd.terminals, swp.terminals)
         pair = DirectionPair(
@@ -393,7 +395,8 @@ class TestFrontDoors:
             values=EventValueFunction({s.events[c]: v for c, v in enumerate(merged) if v is not None}),
             config=SolverConfig(alpha=1.0), forward=FWD,
         )
-        return pair, _loaded(fwd).rewards, _loaded(swp).rewards
+        fwd, swp = (reward_from_doc(doc, j, fill_zero=True).rewards for doc in docs)
+        return pair, fwd, swp
 
     def test_sparse_joint_filled_with_zero(self):
         report = self.assert_doors_agree(*self.sparse_loaded())

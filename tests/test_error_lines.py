@@ -1,5 +1,6 @@
-"""Error lines for binding faults, bad flag values and faults between the
-commute check's two reward files, pinned byte for byte.
+"""Error lines for binding faults, bad flag values, faults between the commute
+check's two reward files and the gauge check's context-set rule, pinned byte
+for byte.
 
 Each case writes one faulty input next to the bundled f3 joint (X, Y, Z over
 "0"/"1") or the sparse helper joint, or passes one bad flag value, runs it
@@ -376,3 +377,20 @@ def test_commute_terminal_values_disagree(capsys, tmp_path):
     assert run(capsys, argv) == (
         4, "", "error: terminal values disagree at event X=0,Y=0,Z=1: 0.0 vs 0.5\n"
     )
+
+
+def test_gauge_context_sets_differ(capsys, tmp_path):
+    # an entry at the zero-mass context Y=1,Z=0: the identified table has no row
+    # there, so the gauge check's two tables cover different contexts, while the
+    # decomposition check skips the context
+    joint = write(tmp_path / "sparse.json", joint_to_doc(sparse_joint()))
+    fwd = identified(capsys, tmp_path, joint, "x_given_yz")
+    fwd["entries"].append(
+        {"context": {"Y": "1", "Z": "0"}, "outcome": {"X": "0"}, "r": 0.0, "V": 0.0}
+    )
+    argv = ["check", joint, "--rewards", write(tmp_path / "fwd.json", fwd), "--fill-zero"]
+    assert run(capsys, argv + ["--checks", "gauge"]) == (
+        4, "", "error: reward tables cover different context sets\n"
+    )
+    code, out, err = run(capsys, argv + ["--checks", "decomposition"])
+    assert (code, err, json.loads(out)["all_passed"]) == (0, "", True)

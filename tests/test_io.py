@@ -28,7 +28,9 @@ from softtilt import (
     joint_f3,
     log_normalizer_truncated,
 )
+from softtilt.identify import _lookup, _split
 from softtilt.io import (
+    _table_text,
     baseline_from_doc,
     direction_fields,
     direction_from_doc,
@@ -37,12 +39,10 @@ from softtilt.io import (
     family_from_doc,
     format_float,
     interaction_from_doc,
-    interaction_to_text,
     joint_from_doc,
     joint_to_doc,
     load_json,
     reward_from_doc,
-    reward_to_text,
     segment_names,
     values_from_doc,
     values_to_doc,
@@ -50,6 +50,25 @@ from softtilt.io import (
 from helpers import ref_table_doc, sparse_joint
 
 FWD = Direction(target=("X",), base=("Y",), observed=("Z",))
+
+
+def table_text(joint, direction, alpha, table, names, values) -> str:
+    """What the row writer makes of a table keyed by context and outcome, each
+    entry's fields `names` holding the floats values(context, outcome, value)."""
+    s = _split(joint, direction)
+    rows = {s.ctx_index[ctx]: s.row(row) for ctx, row in table.items()}
+    return _table_text(joint, direction, alpha, rows, names,
+                       lambda ci, ti, v: values(s.contexts[ci], s.outcomes[ti], v))
+
+
+def interaction_text(joint, table: InteractionTable, alpha=None) -> str:
+    return table_text(joint, table.direction, alpha, table.values, ("i",), lambda c, o, i: (i,))
+
+
+def reward_text(joint, alpha, rewards: RewardTable) -> str:
+    """The rewards document of a table under zero terminal values."""
+    return table_text(joint, rewards.direction, alpha, rewards.entries, ("r", "V"),
+                      lambda c, o, r: (r, 0.0))
 
 
 class TestLoadJson:
@@ -194,8 +213,7 @@ class TestRewardDoc:
     def calibrated_doc(self):
         j = joint_f3()
         calib = calibrate_rewards(j, FWD, EventValueFunction.zero(), alpha=2.0)
-        text = reward_to_text(2.0, calib.rewards, EventValueFunction.zero(), j)
-        return j, calib, json.loads(text)
+        return j, calib, json.loads(reward_text(j, 2.0, calib.rewards))
 
     def test_round_trip(self):
         j, calib, doc = self.calibrated_doc()
@@ -212,8 +230,7 @@ class TestRewardDoc:
         loaded = reward_from_doc(doc, j)
         assert loaded.rewards.entries == calib.rewards.entries
         # the text is what the generic renderer makes of the parsed document
-        text = reward_to_text(2.0, calib.rewards, EventValueFunction.zero(), j)
-        assert dumps_report(doc) == text
+        assert dumps_report(doc) == reward_text(j, 2.0, calib.rewards)
 
     def test_missing_entry_suggests_fill_zero(self):
         j, _, doc = self.calibrated_doc()
@@ -263,7 +280,7 @@ class TestInteractionDoc:
     def test_round_trip_with_null_cell(self):
         j = sparse_joint()
         table = identify_interaction(j, FWD)
-        doc = json.loads(interaction_to_text(table, alpha=1.5))
+        doc = json.loads(interaction_text(j, table, alpha=1.5))
         alpha, back = interaction_from_doc(doc, j)
         assert alpha == 1.5
         assert back.values == table.values
@@ -272,14 +289,14 @@ class TestInteractionDoc:
 
     def test_alpha_optional(self):
         j = joint_f3()
-        doc = json.loads(interaction_to_text(identify_interaction(j, FWD)))
+        doc = json.loads(interaction_text(j, identify_interaction(j, FWD)))
         assert "alpha" not in doc
         alpha, _ = interaction_from_doc(doc, j)
         assert alpha is None
 
     def test_only_minus_inf_string_allowed(self):
         j = joint_f3()
-        doc = json.loads(interaction_to_text(identify_interaction(j, FWD)))
+        doc = json.loads(interaction_text(j, identify_interaction(j, FWD)))
         doc["entries"][0]["i"] = "inf"
         with pytest.raises(SchemaError, match="'i'"):
             interaction_from_doc(doc, j)
@@ -489,8 +506,13 @@ def _tables(draw, values):
     return direction, rows, tuple(specs.values())
 
 
+def uniform_joint(specs) -> JointTable:
+    cells = list(iter_group_assignments(specs))
+    return JointTable(specs, [(cell, Fraction(1, len(cells))) for cell in cells])
+
+
 class TestTableWriter:
-    """The reward and interaction writers against `dumps_report` of a plain dict."""
+    """The row writer of reward and interaction files against `dumps_report` of a plain dict."""
 
     @seed(0x7AB1E)
     @settings(max_examples=80)
@@ -498,19 +520,19 @@ class TestTableWriter:
         table=_tables(st.one_of(_VALUES, st.just(-math.inf))), alpha=st.one_of(st.none(), _VALUES)
     )
     def test_interaction_text_matches_reference(self, table, alpha):
-        direction, rows, _ = table
+        direction, rows, specs = table
         want = ref_table_doc(direction, alpha, rows, lambda ctx, outcome, i: {
             "i": "-inf" if i == -math.inf else i
         })
-        assert interaction_to_text(InteractionTable(direction, rows), alpha) == dumps_report(want)
+        text = interaction_text(uniform_joint(specs), InteractionTable(direction, rows), alpha)
+        assert text == dumps_report(want)
 
     @seed(0x7AB1F)
     @settings(max_examples=80)
     @given(table=_tables(_VALUES), alpha=_VALUES, data=st.data())
     def test_reward_text_matches_reference(self, table, alpha, data):
         direction, rows, specs = table
-        cells = list(iter_group_assignments(specs))
-        joint = JointTable(specs, [(cell, Fraction(1, len(cells))) for cell in cells])
+        joint = uniform_joint(specs)
         # each cell's terminal value, from the function's entries or its default
         default = data.draw(_VALUES)
         terminal = {
@@ -524,5 +546,10 @@ class TestTableWriter:
         want = ref_table_doc(direction, alpha, rows, lambda ctx, outcome, r: {
             "r": r, "V": default if terminal[ctx, outcome] is None else terminal[ctx, outcome]
         })
-        text = reward_to_text(alpha, RewardTable(direction, rows), terminals, joint)
+        # V read at each entry's full-group cell index, as `identify` reads it
+        s = _split(joint, direction)
+        terminal = _lookup(s, terminals)
+        text = _table_text(joint, direction, alpha,
+                           {s.ctx_index[ctx]: s.row(row) for ctx, row in rows.items()}, ("r", "V"),
+                           lambda ci, ti, r: (r, terminal(s.ctx_full[ci] + s.out_full[ti])))
         assert text == dumps_report(want)

@@ -32,6 +32,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from softtilt import (
+    Assignment,
     DirectionPair,
     DistVector,
     EventValueFunction,
@@ -65,7 +66,7 @@ from softtilt.io import (
     joint_to_doc,
     reward_from_doc,
 )
-from helpers import random_direction, ref_table_doc
+from helpers import random_baseline, random_direction, ref_gauge, ref_rewards, ref_table_doc
 
 # names and labels holding what JSON escapes: quotes, backslashes, braces,
 # control and non-ASCII characters (one outside the BMP)
@@ -249,17 +250,18 @@ class Ref:
         return doc
 
     def gauge(self, loaded) -> dict:
-        fresh = calibrate_rewards(self.joint, self.direction, loaded.terminals, loaded.alpha)
-        cmp = gauge_equivalent((loaded.rewards, loaded.terminals),
-                               (fresh.rewards, loaded.terminals), self.joint, tol=IDENTITY_TOL)
+        """The file's rewards against `ref_rewards` under its terminals, by `ref_gauge`."""
+        fresh = ref_rewards(self.joint, self.direction, loaded.terminals, loaded.alpha)
+        residuals, shifts, max_residual, witness = ref_gauge(
+            (loaded.rewards, loaded.terminals), (fresh, loaded.terminals), self.joint
+        )
         details = {"convention": loaded.rewards.convention}
-        if cmp.shifts is not None:
-            details["shifts"] = [{"context": binding(c), "c": cmp.shifts[c]}
-                                 for c in canonical(cmp.shifts)]
-        if cmp.witness is not None:
-            details["witness"] = binding(cmp.witness[0].union(cmp.witness[1]))
-        residuals = {c.union(o): v for (c, o), v in cmp.residuals.items()}
-        return self.check_doc("gauge", IDENTITY_TOL, residuals, [], details, cmp.max_residual)
+        if max_residual <= IDENTITY_TOL:
+            details["shifts"] = [{"context": binding(c), "c": shifts[c]} for c in canonical(shifts)]
+        elif witness is not None:
+            details["witness"] = binding(witness[0].union(witness[1]))
+        residuals = {c.union(o): v for (c, o), v in residuals.items()}
+        return self.check_doc("gauge", IDENTITY_TOL, residuals, [], details, max_residual)
 
     def admissibility(self, interaction_doc=None) -> dict:
         if interaction_doc is None:
@@ -404,3 +406,84 @@ class TestReportsMatchReference:
         extended.write_text(json.dumps(interaction), encoding="utf-8")
         same(["construct", j, "--interaction", extended, "--skip-zero-mass"],
              ref.construct(interaction))
+
+
+# ------------------------------------------------ the gauge check, bit for bit
+
+def hexed(residuals: dict) -> list:
+    """(key, residual as float.hex) pairs, in the mapping's order."""
+    return [(key, float(v).hex()) for key, v in residuals.items()]
+
+
+class TestGaugeMatchesReference:
+    """`gauge_equivalent` and `check --checks gauge` against `helpers.ref_gauge`.
+
+    Each draw takes a `random_case` joint (zero cells, and in half the draws a
+    zero-mass context), random terminal values on the direction's full events
+    and a random baseline. Rewards calibrated under a baseline and under none lie
+    in one gauge class; moving some entries off it must make the comparison
+    fail with the reference's witness. Residuals, shifts, the largest residual
+    and the witness must agree bit for bit.
+    """
+
+    @seed(0x6A06E)
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_gauge_matches_reference(self, case):
+        rng = random.Random(case)
+        doc, fwd = random_case(rng)
+        joint = joint_from_doc(doc)
+        events = list(iter_group_assignments(joint.group(fwd.target + fwd.conditioning)))
+        values = [EventValueFunction({e: rng.uniform(-2.0, 2.0) for e in events})
+                  for _ in range(2)]
+        a = calibrate_rewards(joint, fwd, values[0], ALPHA,
+                              baseline=random_baseline(rng, joint, fwd.conditioning)).rewards
+        if rng.random() < 0.5:  # some entries moved off the class
+            a = RewardTable(fwd, {ctx: {o: r + rng.choice((0.0, rng.uniform(-1.0, 1.0)))
+                                        for o, r in row.items()} for ctx, row in a.entries.items()})
+        b = calibrate_rewards(joint, fwd, values[1], ALPHA).rewards
+        self.assert_library_agrees((a, values[0]), (b, values[1]), joint)
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_cli_agrees(Path(tmp), doc, joint, fwd, a, values[0])
+
+    def assert_library_agrees(self, a, b, joint) -> None:
+        residuals, shifts, max_residual, witness = ref_gauge(a, b, joint)
+        cmp = gauge_equivalent(a, b, joint)
+        assert hexed(cmp.residuals) == hexed(residuals)
+        assert cmp.max_residual.hex() == max_residual.hex()
+        assert cmp.equivalent == (max_residual <= IDENTITY_TOL)
+        if cmp.equivalent:
+            assert (cmp.shifts, cmp.witness) == (shifts, None)
+            assert hexed(cmp.shifts) == hexed(shifts)
+        else:
+            assert (cmp.shifts, cmp.witness) == (None, witness)
+
+    def assert_cli_agrees(self, tmp: Path, doc, joint, fwd, rewards, values) -> None:
+        """`check --checks gauge` on a rewards file of the table, V from values."""
+        rewards_doc = ref_table_doc(fwd, ALPHA, rewards.entries, lambda c, o, r: {
+            "r": r, "V": values.value(o.union(c))
+        })
+        (tmp / "joint.json").write_text(json.dumps(doc), encoding="utf-8")
+        (tmp / "rewards.json").write_text(json.dumps(rewards_doc), encoding="utf-8")
+        code, out = run(["check", tmp / "joint.json", "--rewards", tmp / "rewards.json",
+                         "--checks", "gauge", "--fill-zero"])
+        (check,) = json.loads(out)["checks"]
+        loaded = reward_from_doc(rewards_doc, joint, fill_zero=True)
+        fresh = ref_rewards(joint, fwd, loaded.terminals, ALPHA)
+        residuals, shifts, max_residual, witness = ref_gauge(
+            (loaded.rewards, loaded.terminals), (fresh, loaded.terminals), joint
+        )
+        passed = max_residual <= IDENTITY_TOL
+        assert (code, check["passed"]) == (0 if passed else 1, passed)
+        assert float(check["max_residual"]).hex() == max_residual.hex()
+        got = {Assignment(e["at"]): e["residual"] for e in check["residuals"]}
+        want = {c.union(o): v for (c, o), v in residuals.items()}
+        assert hexed(got) == hexed({e: want[e] for e in canonical(want)})
+        details = check["details"]
+        if passed:
+            assert "witness" not in details
+            got = {Assignment(e["context"]): e["c"] for e in details["shifts"]}
+            assert hexed(got) == hexed({c: shifts[c] for c in canonical(shifts)})
+        else:
+            assert "shifts" not in details
+            assert details["witness"] == binding(witness[0].union(witness[1]))
