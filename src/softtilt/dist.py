@@ -171,8 +171,24 @@ class JointTable:
         tol = self._tol_norm = float(tol_norm)
         # objects derived from the cells, keyed by what they were derived from
         self._derived: dict[tuple, object] = {}
+        # per name, each label's offset in the full grid
+        offsets = {s.name: dict(zip(s.alphabet, self._offsets(self._all, (v,))))
+                   for v, s in enumerate(specs)}
         ratios: dict[int, tuple[int, int]] = {}
         for key, value in mass.items() if isinstance(mass, Mapping) else mass:
+            # a plain dict binding every variable, with a finite float >= 0, sits at the sum of
+            # its labels' offsets; any other entry, and any fault, takes the checks below
+            if (type(key) is dict and len(key) == len(specs) and type(value) is float
+                    and 0.0 <= value < math.inf):
+                i = 0
+                try:
+                    for name, label in key.items():
+                        i += offsets[name][label]
+                except (KeyError, TypeError):  # an unknown name or label
+                    i = -1
+                if i >= 0 and i not in ratios:
+                    ratios[i] = value.as_integer_ratio()
+                    continue
             hit = self._index_of(key)
             if hit is None or len(hit[0]) != len(specs):
                 hit = self._locate(as_assignment(key), full=True)

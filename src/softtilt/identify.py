@@ -9,6 +9,7 @@ calibration takes an explicit baseline convention for V(ctx), default 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -194,8 +195,12 @@ def _split(joint: JointTable, direction: Direction) -> _Split:
 
 
 def _lookup(s: _Split, values: "EventValueFunction"):
-    """The terminal value at a full-group cell index of a `_Split`."""
-    return lambda cell: float(values.value(s.events[cell]))
+    """The terminal value at a full-group cell index of a `_Split`, read once per cell
+    when first asked for; values with only a default never build `s.events`."""
+    if not values._entries and values.default is not None:
+        default = values.default
+        return lambda cell: default
+    return functools.cache(lambda cell: float(values.value(s.events[cell])))
 
 
 def _interactions(s: _Split):

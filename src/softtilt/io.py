@@ -13,13 +13,17 @@ and depth. `_table_text` writes the reward and interaction files from rows
 of `_Split` indices, in canonical order. `_render` writes the small headers
 around them, and `dumps_report` serves library callers, with the same bytes.
 
-The joint, reward and interaction readers resolve a binding (`assign`,
-`context`, `outcome`) that is a plain dict of known names and labels by one
-lookup per variable; the reward and interaction reader does so once per
-distinct binding object, and stores the values as rows of `_Split` indices.
-Any other binding, and every binding of a values or baseline file, takes the
-validating path, `_binding` then `_locate`, whose error texts and exit codes
-are the contract; duplicate, mass and total checks run on both.
+The joint reader hands a document whose entries are all plain dicts, each
+with a plain dict `assign` and a float `p`, straight to `JointTable`, which
+places an `assign` binding every variable at the sum of its labels' offsets
+in the full grid; on any fault the whole document is read again by the
+validating path, so that faults are reported in its order. The reward and
+interaction reader resolves a `context` or `outcome` that is a plain dict of
+known names and labels by one lookup per variable, once per distinct binding
+object, and stores the values as rows of `_Split` indices. Any other binding,
+and every binding of a values or baseline file, takes the validating path,
+`_binding` then `_locate`, whose error texts and exit codes are the contract;
+duplicate, mass and total checks run on both paths.
 """
 
 from __future__ import annotations
@@ -117,6 +121,13 @@ def joint_from_doc(doc) -> JointTable:
         specs.append(VariableSpec(name=name, alphabet=tuple(alphabet)))
     mass_docs = doc.get("mass")
     _require(isinstance(mass_docs, list), "'mass' must be an array")
+    try:  # well-formed entries, read at once; on any fault the validating path reports it
+        pairs = [(item["assign"], item["p"]) for item in mass_docs if type(item) is dict]
+        if len(pairs) == len(mass_docs) and all(type(a) is dict and type(p) is float
+                                                for a, p in pairs):
+            return JointTable(specs, pairs, tol_norm=JOINT_SUM_TOL)
+    except (KeyError, ValidationError):
+        pass
     pairs = []
     for item in mass_docs:
         _require(isinstance(item, dict), "each mass entry must be an object")
@@ -305,18 +316,17 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
         row = rows.get(ci)
         if row is None:
             row = rows[ci] = [None] * len(s.outcomes)
-        at = s.contexts[ci], s.outcomes[ti]
         if row[ti] is not None:
-            raise SchemaError("duplicate entry at {}/{}".format(*at))
+            raise SchemaError(f"duplicate entry at {s.contexts[ci]}/{s.outcomes[ti]}")
         # finite floats, and plain ints in the double range, are most values and skip `_number`
         if rewards:
             r, v = item.get("r"), item.get("V")
             if type(r) is not float or not isfinite(r):
                 r = float(r) if type(r) is int and abs(r) <= _MAX else _number(
-                    r, lambda: "'r' at {}/{} must be a finite number".format(*at))
+                    r, lambda: f"'r' at {s.contexts[ci]}/{s.outcomes[ti]} must be a finite number")
             if type(v) is not float or not isfinite(v):
                 v = float(v) if type(v) is int and abs(v) <= _MAX else _number(
-                    v, lambda: "'V' at {}/{} must be a finite number".format(*at))
+                    v, lambda: f"'V' at {s.contexts[ci]}/{s.outcomes[ti]} must be a finite number")
             row[ti], terminals[ctx_full[ci] + out_full[ti]] = r, v
             continue
         i = item.get("i")
@@ -324,8 +334,8 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
             if type(i) is int and abs(i) <= _MAX:
                 i = float(i)
             else:
-                i = -math.inf if i == "-inf" else _number(
-                    i, lambda: "'i' at {}/{} must be a number or \"-inf\"".format(*at))
+                i = -math.inf if i == "-inf" else _number(i, lambda: (
+                    f"'i' at {s.contexts[ci]}/{s.outcomes[ti]} must be a number or \"-inf\""))
         row[ti] = i
     for ci, row in rows.items() if rewards else ():
         if None not in row or not s.m_cond[ci]:

@@ -25,6 +25,7 @@ from softtilt import (
     InvalidBounds,
     JointTable,
     RewardTable,
+    SchemaError,
     SoftUpdateProblem,
     SolverConfig,
     UndefinedPMI,
@@ -348,6 +349,79 @@ def ref_table_doc(direction, alpha, rows, fields) -> dict:
             entry.update(fields(ctx, outcome, rows[ctx][outcome]))
             doc["entries"].append(entry)
     return doc
+
+
+def ref_joint_doc(doc) -> tuple[dict[Assignment, Fraction], int, Fraction]:
+    """A joint document read entry by entry with `Fraction` masses: the nonzero cells
+    by full assignment, the lcm of the entries' denominators, and the total. Faults
+    raise SchemaError with the reader's texts, in its order: the document's and
+    each variable's shape; each mass entry's shape, in entry order; distinct
+    variable names; then per entry, in order, its names and labels (sorted by
+    name), the first variable it leaves unbound, its sign and whether it repeats
+    a cell; last the total, against the tolerance 1e-9."""
+    if not isinstance(doc, dict):
+        raise SchemaError("joint document must be an object")
+    variables = doc.get("variables")
+    if not isinstance(variables, list) or not variables:
+        raise SchemaError("'variables' must be a nonempty array")
+    names, alphabets = [], {}
+    for item in variables:
+        if not isinstance(item, dict):
+            raise SchemaError("each variable must be an object")
+        name, alphabet = item.get("name"), item.get("alphabet")
+        if not isinstance(name, str) or not name:
+            raise SchemaError("variable 'name' must be a nonempty string")
+        if (not isinstance(alphabet, list) or not alphabet
+                or not all(isinstance(a, str) for a in alphabet)):
+            raise SchemaError(f"variable {name!r}: 'alphabet' must be a nonempty array of strings")
+        if len(set(alphabet)) != len(alphabet):
+            raise SchemaError(f"variable {name!r} has repeated labels")
+        names.append(name)
+        alphabets[name] = set(alphabet)
+    entries = doc.get("mass")
+    if not isinstance(entries, list):
+        raise SchemaError("'mass' must be an array")
+    shaped = []
+    for item in entries:
+        if not isinstance(item, dict):
+            raise SchemaError("each mass entry must be an object")
+        assign, p = item.get("assign"), item.get("p")
+        if not isinstance(assign, dict) or not assign:
+            raise SchemaError("'assign' must be a nonempty object")
+        if not all(isinstance(k, str) and isinstance(v, str) for k, v in assign.items()):
+            raise SchemaError("'assign' must map strings to strings")
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            p = math.nan
+        try:
+            p = float(p)
+        except OverflowError:
+            p = math.inf
+        if not math.isfinite(p):
+            raise SchemaError(f"'p' at {Assignment(assign)} must be a finite number")
+        shaped.append((assign, p))
+    if len(set(names)) != len(names):
+        raise SchemaError("variable names must be distinct")
+    cells: dict[Assignment, Fraction] = {}
+    for assign, p in shaped:
+        for name, label in sorted(assign.items()):
+            if name not in alphabets:
+                raise SchemaError(f"unknown variable {name!r}")
+            if label not in alphabets[name]:
+                raise SchemaError(f"label {label!r} is not in the alphabet of {name!r}")
+        cell = Assignment(assign)
+        unbound = [name for name in names if name not in assign]
+        if unbound:
+            raise SchemaError(f"assignment {cell} does not bind {unbound[0]!r}")
+        if p < 0:
+            raise SchemaError(f"negative mass {p!r} at {cell}")
+        if cell in cells:
+            raise SchemaError(f"duplicate assignment {cell}")
+        cells[cell] = Fraction(p)
+    total = sum(cells.values(), Fraction(0))
+    if abs(total - 1) > Fraction(1e-9):
+        raise SchemaError(f"masses sum to {float(total)!r}, off 1 by more than 1e-09")
+    den = math.lcm(*(m.denominator for m in cells.values()))
+    return {cell: m for cell, m in cells.items() if m}, den, total
 
 
 # Plain per-term reference for the countable kernel: the term-by-term scan

@@ -18,6 +18,7 @@ from softtilt import (
     InadmissibleSignal,
     InfiniteInteraction,
     MissingContext,
+    MissingEventValue,
     SolverConfig,
     ValidationError,
     apply_gauge,
@@ -35,6 +36,7 @@ from softtilt import (
     solve_tilt,
     total_variation,
 )
+from softtilt.identify import _lookup, _split
 from helpers import (
     contexts_of,
     outcome_specs,
@@ -203,6 +205,35 @@ class TestCalibrate:
                 alpha=1.0,
                 baseline=GaugeShift(entries={Assignment({"Y": "0", "Z": "0"}): 1.0}),
             )
+
+
+class TestTerminalLookup:
+    """`identify._lookup`: V by full-group cell index, read once per cell, when first asked for."""
+
+    def test_reads_each_cell_once_and_fails_where_read(self):
+        s = _split(joint_f3(), FWD)
+        reads = []
+
+        class Counting(EventValueFunction):
+            __slots__ = ()
+
+            def value(self, event):
+                reads.append(event)
+                return super().value(event)
+
+        terminal = _lookup(s, Counting({s.events[0]: 1.5}))
+        assert [terminal(0), terminal(0)] == [1.5, 1.5]
+        assert reads == [s.events[0]]
+        # a cell without a value fails when read, each time, with the same text
+        for _ in range(2):
+            with pytest.raises(MissingEventValue, match="no value for event X=0,Y=0,Z=1 and no"):
+                terminal(1)
+
+    def test_default_only_values_build_no_events(self):
+        s = _split(joint_f3(), FWD)
+        terminal = _lookup(s, EventValueFunction.zero())
+        assert [terminal(cell) for cell in range(len(s.m_full))] == [0.0] * len(s.m_full)
+        assert "events" not in vars(s)
 
 
 class TestGauge:

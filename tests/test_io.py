@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
@@ -47,7 +50,7 @@ from softtilt.io import (
     values_from_doc,
     values_to_doc,
 )
-from helpers import ref_table_doc, sparse_joint
+from helpers import ref_joint_doc, ref_table_doc, sparse_joint
 
 FWD = Direction(target=("X",), base=("Y",), observed=("Z",))
 
@@ -140,6 +143,138 @@ class TestJointDoc:
         doc = self.base_doc()
         doc["mass"][0]["p"] = 0.5 + 5e-10
         joint_from_doc(doc)
+
+
+_LABELS = ("0", "1", "b", "\u00e9")
+_SUBNORMAL = (5e-324, 1e-320, 2.5e-310)
+
+
+def random_joint_doc(rng: random.Random) -> dict:
+    """A joint document over 1-4 variables of 1-3 labels each. About a third of
+    the cells are zero, each omitted or written as 0.0, -0.0 or 0; some masses are
+    subnormal; the total is off 1 by up to 0.9e-9 in a third of the draws; a
+    single cell that carries all the mass is written as the int 1. Each
+    `assign` lists its keys in a random order, and the entries come in a random order."""
+    names = rng.sample(["W", "X", "Y", "Z"], rng.randint(1, 4))
+    variables = [{"name": n, "alphabet": rng.sample(_LABELS, rng.randint(1, 3))} for n in names]
+    cells = list(itertools.product(*(v["alphabet"] for v in variables)))
+    raw = [0.0 if rng.random() < 0.35 else rng.expovariate(1.0) for _ in cells]
+    raw[rng.randrange(len(raw))] = rng.expovariate(1.0) + 0.1
+    total = sum(raw)
+    masses = [w / total for w in raw]
+    for i in range(len(masses)):
+        if masses[i] == 0.0 and rng.random() < 0.2:
+            masses[i] = rng.choice(_SUBNORMAL)
+    if rng.random() < 0.33:
+        big = max(range(len(masses)), key=masses.__getitem__)
+        masses[big] += rng.uniform(-0.9e-9, 0.9e-9)
+    mass = []
+    for cell, p in zip(cells, masses):
+        if p == 0.0:
+            p = rng.choice((None, 0.0, -0.0, 0))
+            if p is None:
+                continue
+        elif p == 1.0 and rng.random() < 0.5:
+            p = 1
+        assign = list(zip(names, cell))
+        rng.shuffle(assign)
+        mass.append({"assign": dict(assign), "p": p})
+    rng.shuffle(mass)
+    return {"variables": variables, "mass": mass}
+
+
+def _fault(rng: random.Random, doc: dict) -> str:
+    """Inject one fault into a joint document; returns its name."""
+    mass, names = doc["mass"], [v["name"] for v in doc["variables"]]
+    at = rng.randrange(len(mass))
+    entry = mass[at]
+    assign = entry["assign"]
+    kind = rng.choice((
+        "non-dict entry", "missing p", "missing assign", "partial binding", "extra binding",
+        "unknown label", "int label", "bool p", "str p", "nan p", "inf p", "negative p",
+        "duplicate cell", "bad total", "bad p after bad label", "repeated name",
+    ))
+    if kind == "non-dict entry":
+        mass[at] = rng.choice(([names[0], "0"], "X=0", None, 1.5))
+    elif kind == "missing p":
+        del entry["p"]
+    elif kind == "missing assign":
+        del entry["assign"]
+    elif kind == "partial binding":
+        del assign[rng.choice(names)]
+    elif kind == "extra binding":
+        assign["V"] = "0"
+    elif kind == "unknown label":
+        assign[rng.choice(names)] = "?"
+    elif kind == "int label":
+        assign[rng.choice(names)] = 0
+    elif kind == "bad total":
+        entry["p"] = float(entry["p"]) + rng.choice((-1.0, 1.0)) * rng.uniform(2e-9, 0.5)
+        entry["p"] = abs(entry["p"])
+    elif kind == "duplicate cell":  # half of them with the same mass, so the total holds
+        keys = list(assign.items())
+        rng.shuffle(keys)
+        p = entry["p"] if rng.random() < 0.5 else rng.random()
+        mass.insert(rng.randrange(len(mass) + 1), {"assign": dict(keys), "p": p})
+    elif kind == "negative p":  # another entry takes up the difference, so the total holds
+        p0 = float(entry["p"])
+        p = p0 or rng.uniform(1e-3, 1.0)
+        entry["p"] = -p
+        others = [e for e in mass if e is not entry]
+        if others:
+            other = rng.choice(others)
+            other["p"] = float(other["p"]) + p0 + p
+    elif kind == "bad p after bad label":
+        assign[rng.choice(names)] = "?"
+        mass.insert(rng.randint(at + 1, len(mass)), {"assign": dict(assign), "p": "x"})
+    elif kind == "repeated name":
+        doc["variables"].append(dict(doc["variables"][0]))
+    else:
+        entry["p"] = {"bool p": True, "str p": "0.5", "nan p": math.nan, "inf p": math.inf}[kind]
+    return kind
+
+
+def _outcome(read, doc):
+    """What a reader makes of a document: the nonzero cells, the denominator and
+    the total, or the class and text of the error it raises."""
+    try:
+        return read(doc)
+    except SoftTiltError as exc:
+        return type(exc), str(exc)
+
+
+def _library(doc):
+    joint = joint_from_doc(doc)
+    return joint.masses(), joint._den, joint.total()
+
+
+class TestJointReaderMatchesReference:
+    """`joint_from_doc` against the entry-by-entry reader `helpers.ref_joint_doc`.
+
+    Each draw reads a `random_joint_doc` through JSON: the cells, the common
+    denominator and the total must be equal. A document with every `p` a float
+    must also read the same with the validating path (`_binding`) and the
+    per-entry lookup (`JointTable._index_of`) made to fail, so that the fast
+    path, which sums label offsets, is the one tested. With one fault injected,
+    both readers must raise the same error class with the same text.
+    """
+
+    @seed(0x10147)
+    @settings(max_examples=400)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_joint_reader_matches_reference(self, case, faulty):
+        rng = random.Random(case)
+        doc = random_joint_doc(rng)
+        kind = _fault(rng, doc) if faulty else None
+        doc = json.loads(json.dumps(doc))
+        want = _outcome(ref_joint_doc, doc)
+        assert _outcome(_library, doc) == want
+        if kind is not None:
+            assert isinstance(want[0], type) and issubclass(want[0], SchemaError), kind
+        elif all(type(item["p"]) is float for item in doc["mass"]):
+            with (mock.patch("softtilt.io._binding", side_effect=AssertionError("validating")),
+                  mock.patch.object(JointTable, "_index_of", side_effect=AssertionError("lookup"))):
+                assert _library(doc) == want
 
 
 class TestDirectionParsing:
