@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .coherence import EventValueFunction, _audit, _problem
 from .countable import DEFAULT_MAX_DOUBLINGS, DEFAULT_START, log_normalizer_truncated
-from .dist import DistVector, JointTable, _trusted
+from .dist import DistVector, JointTable
 from .errors import (
     CoverageMismatch,
     OutputError,
@@ -62,7 +62,7 @@ from .io import (
     load_json,
     values_from_doc,
 )
-from .tilt import SolverConfig, _decomposition_residual, solve_tilt
+from .tilt import SolverConfig, _decomposition_residual, _point_residual, solve_tilt
 
 CHECK_NAMES = ("gauge", "admissibility", "commute", "decomposition")
 
@@ -156,12 +156,11 @@ def cmd_solve(args) -> int:
         direction = _pick_direction(args, joint)
         s = _split(joint, direction)
         alpha = args.alpha if args.alpha is not None else 1.0
-        rows = dict.fromkeys(range(len(s.contexts)), [0.0] * len(s.outcomes))
+        rows = dict.fromkeys(range(len(s.m_cond)), [0.0] * len(s.out_full))
         terminals = [0.0] * len(s.m_full)
     config = SolverConfig(alpha=alpha)
     contexts, outcomes = _bindings(joint, s.cond, 3)[0], _bindings(joint, s.target, 5)[0]
-    entries = []
-    skipped = []
+    entries, skipped = [], []
     for ci in s.order:
         if not s.m_cond[ci]:
             if not args.skip_zero_mass:
@@ -283,17 +282,14 @@ def _check_admissibility(
                       _admissibility(s, rows), skipped, {"source": source})
 
 
-def _merge_terminals(s, ours: list, theirs: list) -> list:
-    """V per full-group cell index: ours, and theirs where ours has none; values
-    over 1e-12 apart are a CoverageMismatch at the first such event in canonical order."""
-    clash = [
-        cell for cell, (a, b) in enumerate(zip(ours, theirs))
-        if a is not None and b is not None and abs(a - b) > 1e-12
-    ]
-    if clash:
-        cell = min(clash, key=lambda c: s.events[c].items_sorted)
-        raise CoverageMismatch(f"terminal values disagree at event {s.events[cell]}: "
-                               f"{ours[cell]!r} vs {theirs[cell]!r}")
+def _merge_terminals(s, order: list, ours: list, theirs: list) -> list:
+    """V per full-group cell index: ours, and theirs where ours has none; values over
+    1e-12 apart are a CoverageMismatch at the first such cell in canonical `order`."""
+    for cell in order:
+        a, b = ours[cell], theirs[cell]
+        if a is not None and b is not None and abs(a - b) > 1e-12:
+            raise CoverageMismatch(f"terminal values disagree at event {s.events[cell]}: "
+                                   f"{a!r} vs {b!r}")
     return [b if a is None else a for a, b in zip(ours, theirs)]
 
 
@@ -307,26 +303,22 @@ def _check_commute(joint: JointTable, loaded: _Rows, swapped: _Rows, tol: float)
         raise ValidationError(
             f"alpha disagrees between reward files: {loaded.alpha!r} vs {swapped.alpha!r}"
         )
-    s = loaded.split
+    s, full = loaded.split, _bindings(joint, loaded.split.full, 5)
     # both directions cover the same variables, so their cell indices agree
-    terminals = _merge_terminals(s, loaded.terminals, swapped.terminals)
-    config = SolverConfig(alpha=loaded.alpha)
-    report = _audit(joint, loaded.direction, config, terminals.__getitem__,
-                    loaded.rows, swapped.rows, tol, checked=True)
+    terminals = _merge_terminals(s, full[1], loaded.terminals, swapped.terminals)
+    identification, symmetry, commutativity, skipped, max_residual = _audit(
+        joint, loaded.direction, SolverConfig(alpha=loaded.alpha), terminals.__getitem__,
+        loaded.rows, swapped.rows, checked=True,
+    )
     details = {
         "identification_max": {
-            tag: max(row.values(), default=0.0)
-            for tag, row in report.identification.items()
+            d.tag: max(row.values(), default=0.0)
+            for d, row in zip((loaded.direction, swapped.direction), identification)
         },
-        "symmetry_max": max(report.symmetry.values(), default=0.0),
-        "commutativity_max": max(report.commutativity.values(), default=0.0),
+        "symmetry_max": max(symmetry.values(), default=0.0),
+        "commutativity_max": max(commutativity.values(), default=0.0),
     }
-    cells = {event: cell for cell, event in enumerate(swapped.split.events)}  # built by the audit
-    return _check_doc(
-        "commute", tol, _bindings(joint, s.full, 5),
-        {cells[event]: v for event, v in report.commutativity.items()},
-        {cells[event]: reason for event, reason in report.skipped}, details, report.max_residual,
-    )
+    return _check_doc("commute", tol, full, commutativity, skipped, details, max_residual)
 
 
 def _check_decomposition(joint: JointTable, loaded: _Rows, tol: float) -> dict:
@@ -340,13 +332,12 @@ def _check_decomposition(joint: JointTable, loaded: _Rows, tol: float) -> dict:
             continue
         problem = _problem(s, ci, loaded.rows.get(ci), terminal, config, checked=True)
         solution = solve_tilt(problem)
-        over, n = problem.prior.over, len(problem.prior.probs)
-        probes = [problem.prior, solution.optimizer]
-        for i, p in enumerate(problem.prior.probs):
-            if p > 0:
-                point = tuple([1.0 if j == i else 0.0 for j in range(n)])
-                probes.append(_trusted(DistVector, over=over, probs=point))
-        residuals[ci] = max(_decomposition_residual(problem, solution, probe) for probe in probes)
+        # probes: the prior, the optimizer, then the point mass on each supported outcome
+        residuals[ci] = max([
+            *(_decomposition_residual(problem, solution, q)
+              for q in (problem.prior, solution.optimizer)),
+            *(_point_residual(problem, solution, i) for i in problem.prior.support()),
+        ])
     return _check_doc("decomposition", tol, _bindings(joint, s.cond, 5), residuals, skipped)
 
 
@@ -384,13 +375,7 @@ def cmd_check(args) -> int:
             reports.append(_check_decomposition(joint, loaded, identity_tol))
     all_passed = all(r["passed"] for r in reports)
     doc = direction_fields(loaded.direction)
-    doc.update(
-        {
-            "alpha": loaded.alpha,
-            "checks": reports,
-            "all_passed": all_passed,
-        }
-    )
+    doc.update({"alpha": loaded.alpha, "checks": reports, "all_passed": all_passed})
     _emit(args.out, doc)
     return 0 if all_passed else 1
 
@@ -405,8 +390,7 @@ def cmd_construct(args) -> int:
     s = table.split
     tol_admit = tol if tol is not None else ADMIT_TOL
     contexts, outcomes = _bindings(joint, s.cond, 3)[0], _bindings(joint, s.target, 5)[0]
-    entries = []
-    skipped = []
+    entries, skipped = [], []
     for ci in s.order:
         row = table.rows.get(ci)
         if row is None:

@@ -154,34 +154,40 @@ def commutativity_residual(
     v_fwd, v_swp = (
         {as_assignment(k): float(v) for k, v in dict(m).items()} for m in (values_fwd, values_swp)
     )
-    return _commutativity(_triples(rewards_fwd), v_fwd, _triples(rewards_swp), v_swp, lambda t: t)
+    # each entry's full event, mapped to its context and reward
+    fwd_triples, swp_triples = (
+        {ctx.union(o): (ctx, r) for ctx, row in table.entries.items() for o, r in row.items()}
+        for table in (rewards_fwd, rewards_swp)
+    )
+    order = sorted(fwd_triples, key=lambda a: a.items_sorted)
+    return _commutativity((fwd_triples, v_fwd, as_assignment), (swp_triples, v_swp, as_assignment),
+                          order, as_assignment)
 
 
-def _triples(table: RewardTable) -> dict[Assignment, tuple[Assignment, float]]:
-    """Each entry's full event, mapped to its context and reward."""
-    return {ctx.union(o): (ctx, r) for ctx, row in table.entries.items() for o, r in row.items()}
-
-
-def _commutativity(fwd: dict, values_fwd, swp: dict, values_swp, event) -> dict[Assignment, float]:
-    """Per-triple residuals of two maps of a triple's key to (context, r), and of the tables'
-    context values V; event(key) is the triple's full event, which keys the result."""
-    if fwd.keys() != swp.keys():
-        only_f = sorted(map(event, fwd.keys() - swp.keys()), key=lambda a: a.items_sorted)
-        only_s = sorted(map(event, swp.keys() - fwd.keys()), key=lambda a: a.items_sorted)
+def _commutativity(fwd: tuple, swp: tuple, order, event) -> dict:
+    """Per-triple residuals of two directions, each a map of a triple's key to (context, r),
+    a map of context to V and a function naming a context, by key in `order` (which holds
+    the forward keys); event(key) names a triple. The names serve only error texts."""
+    (fwd_rows, fwd_values, fwd_name), (swp_rows, swp_values, swp_name) = fwd, swp
+    if fwd_rows.keys() != swp_rows.keys():
+        only_f, only_s = (sorted(map(event, a.keys() - b.keys()), key=lambda e: e.items_sorted)
+                          for a, b in ((fwd_rows, swp_rows), (swp_rows, fwd_rows)))
         example = (only_f or only_s)[0]
         raise CoverageMismatch(
             f"tables cover different triples ({len(only_f)} forward-only, "
             f"{len(only_s)} swapped-only; e.g. {example})"
         )
-    residuals: dict[Assignment, float] = {}
-    for key in sorted(fwd, key=lambda k: event(k).items_sorted):
-        (ctx_f, r_f), (ctx_s, r_s) = fwd[key], swp[key]
-        v_f, v_s = values_fwd.get(ctx_f), values_swp.get(ctx_s)
+    residuals = {}
+    for key in order:
+        if key not in fwd_rows:
+            continue
+        (ctx_f, r_f), (ctx_s, r_s) = fwd_rows[key], swp_rows[key]
+        v_f, v_s = fwd_values.get(ctx_f), swp_values.get(ctx_s)
         if v_f is None:
-            raise MissingContext(f"forward context values miss {ctx_f}")
+            raise MissingContext(f"forward context values miss {fwd_name(ctx_f)}")
         if v_s is None:
-            raise MissingContext(f"swapped context values miss {ctx_s}")
-        residuals[event(key)] = abs((r_f - v_f) - (r_s - v_s))
+            raise MissingContext(f"swapped context values miss {swp_name(ctx_s)}")
+        residuals[key] = abs((r_f - v_f) - (r_s - v_s))
     return residuals
 
 
@@ -223,62 +229,65 @@ def order_independence_check(
                for ctx, row in entries):
             raise CoverageMismatch(f"{table.direction.tag} table has entries off its grid")
         rows.append({s.ctx_index[ctx]: s.row(row) for ctx, row in entries})
-    return _audit(pair.joint, pair.forward, pair.config, _lookup(s, pair.values), *rows, tol)
+    identification, *cells, max_residual = _audit(
+        pair.joint, pair.forward, pair.config, _lookup(s, pair.values), *rows
+    )
+    # both directions cover the same variables, so their cell indices agree
+    symmetry, commutativity, skipped = ({s.events[c]: v for c, v in m.items()} for m in cells)
+    return OrderIndependenceReport(
+        identification={
+            d.tag: {_split(pair.joint, d).contexts[ci]: v for ci, v in row.items()}
+            for d, row in zip((pair.forward, pair.swapped), identification)
+        },
+        symmetry=symmetry,
+        commutativity=commutativity,
+        skipped=tuple(skipped.items()),
+        max_residual=max_residual,
+        passed=max_residual <= tol,
+    )
 
 
-def _audit(joint, forward, config, terminal, rows_fwd, rows_swp, tol, checked=False):
-    """`order_independence_check` of the reward rows of the forward direction and
-    its swap by `_Split` context index; terminal and checked are `_problem`'s."""
-    identification: dict[str, dict[Assignment, float]] = {}
-    sides = []  # per direction: (context, r) by full-group cell index, and V by context
-    interactions: list[dict[int, float]] = []  # per direction, keyed by full-group cell index
+def _audit(joint, forward, config, terminal, rows_fwd, rows_swp, checked=False):
+    """`order_independence_check` of the reward rows of the forward direction and its swap
+    by `_Split` context index; terminal and checked are `_problem`'s. Gives each direction's
+    identification residuals by context index; the symmetry and commutativity residuals and
+    the skipped cells' reasons by full-group cell index, the last two in canonical order; and
+    the largest residual."""
+    identification: list[dict[int, float]] = []  # per direction
+    sides = []  # per direction: (context index, r) by cell index, V by context index, contexts
+    interactions: list[dict[int, float]] = []  # per direction, by cell index
     for direction, rows in ((forward, rows_fwd), (forward.swapped(), rows_swp)):
         s = _split(joint, direction)
-        residuals: dict[Assignment, float] = {}
-        v_map: dict[Assignment, float] = {}
+        residuals, v_map = {}, {}  # by context index
         for ci in s.order:
             p_ctx = s.m_cond[ci]
             if not p_ctx:
                 continue
-            ctx, at = s.contexts[ci], s.ctx_full[ci]
+            at = s.ctx_full[ci]
             solution = solve_tilt(_problem(s, ci, rows.get(ci), terminal, config, checked))
             probs = tuple([s.m_full[at + o] / p_ctx for o in s.out_full])
             bayes = _trusted(DistVector, over=s.target_specs, probs=probs)
-            residuals[ctx] = total_variation(solution.optimizer, bayes)
-            v_map[ctx] = solution.soft_value
-        identification[direction.tag] = residuals
+            residuals[ci] = total_variation(solution.optimizer, bayes)
+            v_map[ci] = solution.soft_value
+        identification.append(residuals)
         sides.append(({
-            s.ctx_full[ci] + o: (s.contexts[ci], r)
+            s.ctx_full[ci] + o: (ci, r)
             for ci, row in rows.items() for o, r in zip(s.out_full, row) if r is not None
-        }, v_map))
+        }, v_map, lambda ci, s=s: s.contexts[ci]))
         interactions.append({
             s.ctx_full[ci] + o: v
             for ci, row in _interactions(s) for o, v in zip(s.out_full, row) if v is not None
         })
 
     # both directions cover the same variables, so their cell indices agree
-    events, m_full = s.events, s.m_full
+    order = joint._order(s.full)
     fwd_cells, swp_cells = interactions
-    symmetry: dict[Assignment, float] = {}
-    for cell, value in fwd_cells.items():
-        if value > -math.inf:
-            symmetry[events[cell]] = abs(value - swp_cells[cell])
-
-    commutativity = _commutativity(*sides[0], *sides[1], events.__getitem__)
-
-    skipped = [(event, "zero joint mass") for event, m in zip(events, m_full) if not m]
-
-    all_residuals = [
-        *(v for row in identification.values() for v in row.values()),
+    symmetry = {cell: abs(v - swp_cells[cell]) for cell, v in fwd_cells.items() if v > -math.inf}
+    commutativity = _commutativity(*sides, order, lambda cell: s.events[cell])
+    skipped = {cell: "zero joint mass" for cell in order if not s.m_full[cell]}
+    max_residual = max([
+        *(v for row in identification for v in row.values()),
         *symmetry.values(),
         *commutativity.values(),
-    ]
-    max_residual = max(all_residuals, default=0.0)
-    return OrderIndependenceReport(
-        identification=identification,
-        symmetry=symmetry,
-        commutativity=commutativity,
-        skipped=tuple(sorted(skipped, key=lambda item: item[0].items_sorted)),
-        max_residual=max_residual,
-        passed=max_residual <= tol,
-    )
+    ], default=0.0)
+    return identification, symmetry, commutativity, skipped, max_residual

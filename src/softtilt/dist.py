@@ -195,7 +195,7 @@ class JointTable:
             i = hit[1]
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"mass must be finite, got {value!r}")
-            if not isinstance(value, (float, Rational)):
+            if isinstance(value, bool) or not isinstance(value, (float, Rational)):
                 raise ValidationError(f"mass must be a real number, got {value!r}")
             num, den = (value if isinstance(value, float) else Fraction(value)).as_integer_ratio()
             if num < 0:
@@ -273,6 +273,15 @@ class JointTable:
             stride = math.prod(self._sizes[w] for w in group if w > v)
             offsets = [o + d * stride for o in offsets for d in range(self._sizes[v])]
         return offsets
+
+    def _order(self, group: tuple[int, ...]) -> list[int]:
+        """The cell indices of the grid over a group of variable indices in canonical
+        order, as `items_sorted` sorts their assignments: by label, in name order."""
+        order = [0]
+        for v in sorted(group, key=lambda v: self._variables[v].name):
+            axis = sorted(zip(self._variables[v].alphabet, self._offsets(group, (v,))))
+            order = [cell + off for cell in order for _, off in axis]
+        return order
 
     def _mass(self, event: Assignment) -> int:
         group, i = self._locate(event)

@@ -57,9 +57,8 @@ class Direction:
     observed: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "target", tuple(self.target))
-        object.__setattr__(self, "base", tuple(self.base))
-        object.__setattr__(self, "observed", tuple(self.observed))
+        for name in ("target", "base", "observed"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.target or not self.observed:
             raise ValidationError("direction needs nonempty target and observed groups")
         groups = self.target + self.base + self.observed
@@ -97,9 +96,11 @@ class _Split:
 
     Holds the marginals over the full, conditioning, base and prior (base +
     target) groups as flat int lists, the offsets that join outcome and
-    context indices into cell indices, and the `Assignment`s that callers
-    receive; those over the full and base groups, `events` and `bases`, are
-    built on first use. Built once per joint and direction by `_split`.
+    context indices into cell indices, and the canonical orders of both. The
+    `Assignment` grids `events`, `bases`, `contexts` and `outcomes` and the
+    indices `ctx_index` and `outcome_index` are built on first use, for
+    library callers, error texts and lookups. Built once per joint and
+    direction by `_split`.
     """
 
     def __init__(self, joint: JointTable, direction: Direction):
@@ -117,20 +118,23 @@ class _Split:
                 self.ctx_base[at + o] = bi
         self.target, self.cond, self.full = target, cond, full
         self.target_specs = tuple(joint.variables[v] for v in target)
-        self.outcomes, self.outcome_order, self.outcome_index = _grid(joint, target)
-        self.contexts, self.order, self.ctx_index = _grid(joint, cond)
-        self._lazy = {name: [joint.variables[v] for v in group]
-                      for name, group in (("events", full), ("bases", base))}
+        self.order, self.outcome_order = joint._order(cond), joint._order(target)
+        self._lazy = {name: [joint.variables[v] for v in group] for name, group in
+                      (("events", full), ("bases", base), ("contexts", cond), ("outcomes", target))}
         self.conditioning = direction.conditioning
         self._priors: dict[int, DistVector] = {}
 
     def __getattr__(self, name: str):
-        # called only while `events` or `bases` is unset
-        if name not in ("events", "bases"):
+        # called only while a grid or an index is unset
+        if name in ("ctx_index", "outcome_index"):
+            grid = self.contexts if name == "ctx_index" else self.outcomes
+            value = {a: i for i, a in enumerate(grid)}
+        elif name in ("events", "bases", "contexts", "outcomes"):
+            value = tuple(iter_group_assignments(self._lazy[name]))
+        else:
             raise AttributeError(name)
-        grid = tuple(iter_group_assignments(self._lazy[name]))
-        setattr(self, name, grid)
-        return grid
+        setattr(self, name, value)
+        return value
 
     def locate(self, ctx: Assignment) -> int:
         """Index of a context over exactly the conditioning group."""
@@ -178,14 +182,6 @@ class _Split:
         return prior, values
 
 
-def _grid(joint: JointTable, group: tuple[int, ...]):
-    """The assignments over a group of variable indices in cell order, their
-    indices sorted by `items_sorted`, and the index of each assignment."""
-    cells = tuple(iter_group_assignments(joint.variables[v] for v in group))
-    order = sorted(range(len(cells)), key=lambda i: cells[i].items_sorted)
-    return cells, order, {a: i for i, a in enumerate(cells)}
-
-
 def _split(joint: JointTable, direction: Direction) -> _Split:
     key = ("split", direction)
     split = joint._derived.get(key)
@@ -213,7 +209,7 @@ def _interactions(s: _Split):
             continue
         bi = s.ctx_base[ci]
         p_base, base_at, ctx_at = s.m_base[bi], s.base_prior[bi], s.ctx_full[ci]
-        row: list[float | None] = [None] * len(s.outcomes)
+        row: list[float | None] = [None] * len(s.out_full)
         for ti, (o_prior, o_full) in enumerate(zip(s.out_prior, s.out_full)):
             p_prior = s.m_prior[base_at + o_prior]
             if not p_prior:
@@ -356,10 +352,10 @@ def _calibrate(s: _Split, interactions, terminal, alpha, baseline=None, on_infin
     context_values: dict[int, float] = {}
     excluded: list[tuple[int, int]] = []
     for ci, interaction in interactions:
-        ctx, at = s.contexts[ci], s.ctx_full[ci]
-        shift = baseline.value(ctx) if baseline is not None else 0.0
+        at = s.ctx_full[ci]
+        shift = baseline.value(s.contexts[ci]) if baseline is not None else 0.0
         if not math.isfinite(shift):
-            raise ValidationError(f"baseline at {ctx} must be finite, got {shift!r}")
+            raise ValidationError(f"baseline at {s.contexts[ci]} must be finite, got {shift!r}")
         context_values[ci] = shift
         row = rows[ci] = [None] * len(interaction)
         for ti in s.outcome_order:
@@ -368,9 +364,8 @@ def _calibrate(s: _Split, interactions, terminal, alpha, baseline=None, on_infin
                 continue  # zero prior conditional
             if value == -math.inf:
                 if on_infinite == "error":
-                    raise InfiniteInteraction(
-                        f"posterior-null cell at context {ctx}, outcome {s.outcomes[ti]}"
-                    )
+                    raise InfiniteInteraction(f"posterior-null cell at context {s.contexts[ci]}, "
+                                              f"outcome {s.outcomes[ti]}")
                 excluded.append((ci, ti))
                 continue
             cell = at + s.out_full[ti]
@@ -381,7 +376,7 @@ def _calibrate(s: _Split, interactions, terminal, alpha, baseline=None, on_infin
             r = row[ti] = value / alpha - v_term + shift
             if not math.isfinite(r):
                 raise ValidationError(
-                    f"calibrated reward at {ctx}/{s.outcomes[ti]} must be finite, "
+                    f"calibrated reward at {s.contexts[ci]}/{s.outcomes[ti]} must be finite, "
                     f"got {r!r} at alpha {alpha!r}"
                 )
     return rows, context_values, excluded

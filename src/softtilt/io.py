@@ -28,6 +28,7 @@ duplicate, mass and total checks run on both paths.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Mapping, Sequence
@@ -315,7 +316,7 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
             ctx_memo[tuple(ctx.items())], out_memo[tuple(outcome.items())] = ci, ti
         row = rows.get(ci)
         if row is None:
-            row = rows[ci] = [None] * len(s.outcomes)
+            row = rows[ci] = [None] * len(out_full)
         if row[ti] is not None:
             raise SchemaError(f"duplicate entry at {s.contexts[ci]}/{s.outcomes[ti]}")
         # finite floats, and plain ints in the double range, are most values and skip `_number`
@@ -384,23 +385,27 @@ def _table_text(joint: JointTable, direction: Direction, alpha, rows, names, val
 
 # -------------------------------------------------- values and baselines
 
-def values_from_doc(doc, joint: JointTable | None = None) -> EventValueFunction:
-    _require(isinstance(doc, dict), "values document must be an object")
-    entry_docs = doc.get("entries")
+def _keyed(doc, what: str, joint: JointTable | None, key: str, field: str, entries=None):
+    """A values or baseline document's entries, each binding `key` and a number `field`,
+    as a dict of `Assignment` to float, and its default or None; a document without
+    'entries' has the given ones."""
+    _require(isinstance(doc, dict), f"{what} document must be an object")
+    entry_docs = doc.get("entries", entries)
     _require(isinstance(entry_docs, list), "'entries' must be an array")
-    pairs = []
-    seen: set[Assignment] = set()
+    pairs: dict[Assignment, float] = {}
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
-        event = _event(joint, item.get("event"), "'event'")
-        _require(event not in seen, lambda: f"duplicate event {event}")
-        seen.add(event)
-        v = _number(item.get("v"), lambda: f"'v' at {event} must be a finite number")
-        pairs.append((event, v))
+        at = _event(joint, item.get(key), f"'{key}'")
+        _require(at not in pairs, lambda: f"duplicate {key} {at}")
+        pairs[at] = _number(item.get(field), lambda: f"'{field}' at {at} must be a finite number")
     default = doc.get("default")
     if default is not None:
         default = _number(default, "'default' must be a finite number")
-    return EventValueFunction(pairs, default=default)
+    return pairs, default
+
+
+def values_from_doc(doc, joint: JointTable | None = None) -> EventValueFunction:
+    return EventValueFunction(*_keyed(doc, "values", joint, "event", "v"))
 
 
 def values_to_doc(values: EventValueFunction) -> dict:
@@ -416,19 +421,7 @@ def values_to_doc(values: EventValueFunction) -> dict:
 
 
 def baseline_from_doc(doc, joint: JointTable | None = None) -> GaugeShift:
-    _require(isinstance(doc, dict), "baseline document must be an object")
-    entry_docs = doc.get("entries", [])
-    _require(isinstance(entry_docs, list), "'entries' must be an array")
-    entries: dict[Assignment, float] = {}
-    for item in entry_docs:
-        _require(isinstance(item, dict), "each entry must be an object")
-        ctx = _event(joint, item.get("context"), "'context'")
-        _require(ctx not in entries, lambda: f"duplicate context {ctx}")
-        entries[ctx] = _number(item.get("c"), lambda: f"'c' at {ctx} must be a finite number")
-    default = doc.get("default")
-    if default is not None:
-        default = _number(default, "'default' must be a finite number")
-    return GaugeShift(entries=entries, default=default)
+    return GaugeShift(*_keyed(doc, "baseline", joint, "context", "c", []))
 
 
 # -------------------------------------------------------------- countable
@@ -499,22 +492,20 @@ class _Shape:
 
 def _bindings(joint: JointTable, group: tuple[int, ...], depth: int) -> tuple[list, list]:
     """Each assignment over a group of variable indices as `_render` renders its
-    dict at depth, by cell index, and the cell indices in canonical order: the
-    variables walked in name order, each one's labels sorted. Built from one line
-    per label, once per joint, group and depth."""
+    dict at depth, by cell index, and the cell indices in canonical order
+    (`JointTable._order`). Built from one line per label, once per joint, group
+    and depth."""
     key = ("bindings", group, depth)
     hit = joint._derived.get(key)
     if hit is None:
-        inner, parts = "  " * (depth + 1), [((), 0)]
-        for v in sorted(group, key=lambda v: joint.variables[v].name):
-            spec = joint.variables[v]
-            axis = sorted(zip(spec.alphabet, joint._offsets(group, (v,))))
-            parts = [(lines + (f"{inner}{_quote(spec.name)}: {_quote(label)}",), cell + off)
-                     for lines, cell in parts for label, off in axis]
-        texts, close = [""] * len(parts), "\n" + "  " * depth + "}"
-        for lines, cell in parts:
-            texts[cell] = "{\n" + ",\n".join(lines) + close
-        hit = joint._derived[key] = (texts, [cell for _, cell in parts])
+        inner, close = "  " * (depth + 1), "\n" + "  " * depth + "}"
+        specs = [joint.variables[v] for v in group]
+        by_name = sorted(range(len(specs)), key=lambda k: specs[k].name)
+        lines = [[f"{inner}{_quote(spec.name)}: {_quote(label)}" for label in spec.alphabet]
+                 for spec in specs]
+        texts = ["{\n" + ",\n".join([combo[k] for k in by_name]) + close
+                 for combo in itertools.product(*lines)]
+        hit = joint._derived[key] = (texts, joint._order(group))
     return hit
 
 

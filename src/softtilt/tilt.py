@@ -11,16 +11,13 @@ All exponent sums are max-shifted; float sums are compensated (fsum).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from math import fsum
 from operator import sub
 
-from .dist import DistVector
+from .dist import _MIN_NORMAL, DistVector
 from .errors import DegenerateProblem, SupportViolation, ValidationError
-
-_MIN_NORMAL = sys.float_info.min
 
 
 def first_invalid(xs) -> int | None:
@@ -204,3 +201,14 @@ def _decomposition_residual(
     lhs = objective_value(problem, candidate)
     rhs = solution.soft_value - kl_divergence(candidate, solution.optimizer) / problem.config.alpha
     return abs(lhs - rhs)
+
+
+def _point_residual(problem: SoftUpdateProblem, solution: SoftSolution, i: int) -> float:
+    """`_decomposition_residual` at the point mass on supported outcome i, in O(1), by the
+    float expressions of `objective_value` and `kl_divergence`, errors included."""
+    q, alpha = solution.optimizer.probs[i], problem.config.alpha
+    if q == 0:
+        raise SupportViolation(f"KL undefined: q has mass at index {i} but p does not")
+    lhs = 1.0 * (problem.reward[i] - _log_ratio(1.0, problem.prior.probs[i]) / alpha
+                 + problem.terminal[i])
+    return abs(lhs - (solution.soft_value - 1.0 * _log_ratio(1.0, q) / alpha))

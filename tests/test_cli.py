@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import softtilt
+import softtilt.identify as identify_module
 from softtilt import fixture_path, joint_f3, pmi
 from softtilt.cli import main
 from softtilt.io import dumps_report, joint_to_doc
@@ -53,6 +54,45 @@ def identified(tmp_path, capsys):
         "fwd_report": str(fwd) + ".report.json",
         "swp_rewards": str(swp) + ".rewards.json",
     }
+
+
+class TestIndexCoordinates:
+    """Every joint subcommand on passing inputs computes on `_Split` indices alone: it
+    builds no `Assignment` grid or index on the direction's split (compare
+    `test_identify.TestTerminalLookup.test_default_only_values_build_no_events`)."""
+
+    LAZY = ("contexts", "outcomes", "events", "ctx_index", "outcome_index")
+
+    RUNS = {
+        "identify": ["identify", F3, "--out", "{out}"],
+        "solve": ["solve", F3],
+        "solve-rewards": ["solve", F3, "--rewards", "{fwd_rewards}"],
+        "construct": ["construct", F3, "--interaction", "{fwd_interaction}"],
+        "gauge": ["check", F3, "--rewards", "{fwd_rewards}", "--checks", "gauge"],
+        "admissibility": ["check", F3, "--rewards", "{fwd_rewards}", "--checks", "admissibility"],
+        "admissibility-interaction": ["check", F3, "--rewards", "{fwd_rewards}", "--checks",
+                                      "admissibility", "--interaction", "{fwd_interaction}"],
+        "decomposition": ["check", F3, "--rewards", "{fwd_rewards}", "--checks", "decomposition"],
+        "commute": ["check", F3, "--rewards", "{fwd_rewards}", "--checks", "commute",
+                    "--rewards-swapped", "{swp_rewards}"],
+    }
+
+    @pytest.mark.parametrize("argv", RUNS.values(), ids=RUNS.keys())
+    def test_no_grid_is_built(self, capsys, identified, tmp_path, monkeypatch, argv):
+        made = []
+
+        class Recording(identify_module._Split):
+            def __init__(self, joint, direction):
+                super().__init__(joint, direction)
+                made.append(self)
+
+        monkeypatch.setattr(identify_module, "_Split", Recording)
+        paths = {**identified, "out": str(tmp_path / "run")}
+        code, _, err = run(capsys, [a.format(**paths) for a in argv])
+        assert (code, err) == (0, "")
+        assert made
+        for split in made:
+            assert [name for name in self.LAZY if name in vars(split)] == []
 
 
 class TestSolve:

@@ -389,7 +389,7 @@ class TestFrontDoors:
             docs.append(doc)
         fwd, swp = (_read_rows(doc, j, "reward", fill_zero=True) for doc in docs)
         s = fwd.split
-        merged = _merge_terminals(s, fwd.terminals, swp.terminals)
+        merged = _merge_terminals(s, j._order(s.full), fwd.terminals, swp.terminals)
         pair = DirectionPair(
             joint=j,
             values=EventValueFunction({s.events[c]: v for c, v in enumerate(merged) if v is not None}),

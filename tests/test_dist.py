@@ -125,6 +125,37 @@ class TestJointTable:
         assert len(j.support()) == 5
         assert j.event_mass({"Y": "1", "Z": "0"}) == 0
 
+    @pytest.mark.parametrize("key", [{"X": "0"}, Assignment({"X": "0"})])
+    def test_rejects_bool_masses(self, key):
+        # bool is an int, so a Rational; a mass of True is not a number of the table's kind
+        specs = [VariableSpec("X", B)]
+        with pytest.raises(ValidationError, match="^mass must be a real number, got True$"):
+            JointTable(specs, [(key, True), ({"X": "1"}, False)])
+        with pytest.raises(ValidationError, match="^mass must be a real number, got False$"):
+            JointTable(specs, [({"X": "0"}, 1.0), ({"X": "1"}, False)])
+
+
+# labels that need JSON escapes, listed out of sorted order in their alphabets
+_LABELS = ("z", "0", 'a"b', "c\\d", "\u00e9", "{x}", "\x00", "\U0001f600", "A", "10", "9")
+
+
+class TestCanonicalOrder:
+    """`JointTable._order`, the one rule for canonical cell order, against sorting a
+    group's assignments by `items_sorted`."""
+
+    @seed(0x0DE5)
+    @settings(max_examples=120)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_items_sorted(self, case):
+        rng = random.Random(case)
+        names = rng.sample(["B", "a", "C\u00e9", 'D"', "A", "b"], rng.randint(1, 4))
+        specs = [VariableSpec(n, tuple(rng.sample(_LABELS, rng.randint(1, 4)))) for n in names]
+        cells = list(iter_group_assignments(specs))
+        j = JointTable(specs, [(c, Fraction(1, len(cells))) for c in cells])
+        group = tuple(sorted(rng.sample(range(len(specs)), rng.randint(1, len(specs)))))
+        grid = list(iter_group_assignments(j.variables[v] for v in group))
+        assert j._order(group) == sorted(range(len(grid)), key=lambda i: grid[i].items_sorted)
+
 
 class TestMarginal:
     def test_f1_single_variable_uniform(self):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from softtilt import (
@@ -23,6 +24,7 @@ from softtilt import (
     solve_tilt,
     total_variation,
 )
+from softtilt.tilt import _decomposition_residual, _point_residual
 from helpers import grid_problem, outcome_specs, random_candidate, random_problem
 
 
@@ -274,3 +276,43 @@ class TestKL:
             moved = solve_tilt(shifted)
             assert total_variation(base.optimizer, moved.optimizer) <= 1e-12
             assert moved.soft_value - base.soft_value == pytest.approx(c, abs=1e-12)
+
+
+def _outcome(thunk) -> str:
+    """A residual as its float's hex, or the error it raises as class and text."""
+    try:
+        return thunk().hex()
+    except SupportViolation as exc:
+        return f"SupportViolation: {exc}"
+
+
+class TestPointProbe:
+    """`_point_residual`, the decomposition check's O(1) point-mass probe, against
+    `_decomposition_residual` of the point mass as a `DistVector`: bit for bit, or
+    the same error where the solver's optimizer underflows to zero."""
+
+    @seed(0x9B0B)
+    @settings(max_examples=300)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_the_distvector_probe(self, case):
+        rng = random.Random(case)
+        n = rng.randint(1, 7)
+        kinds = [rng.choice(("normal", "normal", "zero", "tiny", "min")) for _ in range(n)]
+        kinds[rng.randrange(n)] = "normal"
+        tiny = {"zero": 0.0, "tiny": rng.uniform(1e-300, 9e-300), "min": 5e-324}
+        weights = [rng.random() + 1e-3 if k == "normal" else 0.0 for k in kinds]
+        rest = 1.0 - math.fsum(tiny[k] for k in kinds if k != "normal")
+        total = math.fsum(weights)
+        probs = [w / total * rest if k == "normal" else tiny[k] for k, w in zip(kinds, weights)]
+        scale = rng.choice((1.0, 50.0, 800.0))
+        reward = [rng.choice((0.0, -0.0, rng.uniform(-scale, scale))) for _ in range(n)]
+        terminal = [rng.choice((0.0, rng.uniform(-1.0, 1.0))) for _ in range(n)]
+        problem = SoftUpdateProblem(
+            prior=DistVector(outcome_specs(n), tuple(probs)), reward=tuple(reward),
+            terminal=tuple(terminal), config=SolverConfig(alpha=rng.choice((0.1, 1.0, 3.0))),
+        )
+        solution = solve_tilt(problem)
+        for i in problem.prior.support():
+            point = DistVector(problem.prior.over, tuple(float(j == i) for j in range(n)))
+            want = _outcome(lambda: _decomposition_residual(problem, solution, point))
+            assert _outcome(lambda: _point_residual(problem, solution, i)) == want
