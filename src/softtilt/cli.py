@@ -57,7 +57,6 @@ from .io import (
     direction_fields,
     direction_from_tag,
     family_from_doc,
-    format_float,
     joint_from_doc,
     load_json,
     values_from_doc,
@@ -68,14 +67,18 @@ CHECK_NAMES = ("gauge", "admissibility", "commute", "decomposition")
 
 # the entry shapes of the reports, each at the depth of its list
 _SKIPPED = _Shape(1, "context", "reason")
-_SOLVED = _Shape(1, "context", "log_normalizer", "optimizer", "soft_value")
-_CONSTRUCTED = _Shape(1, "context", "normalization_residual", "posterior")
-_DIST = _Shape(3, "outcome", "q")
-_CONTEXT_VALUES = _Shape(1, "V", "context")
+_SOLVED = _Shape(1, "context", "log_normalizer", "optimizer", "soft_value",
+                 floats=("log_normalizer", "soft_value"))
+_CONSTRUCTED = _Shape(1, "context", "normalization_residual", "posterior",
+                      floats=("normalization_residual",))
+_DIST = _Shape(3, "outcome", "q", floats=("q",))
+_CONTEXT_VALUES = _Shape(1, "V", "context", floats=("V",))
 _EXCLUDED = _Shape(1, "context", "outcome", "reason")
-_RESIDUALS = _Shape(3, "at", "residual")
+_RESIDUALS = _Shape(3, "at", "residual", floats=("residual",))
 _SKIPPED_AT = _Shape(3, "at", "reason")
-_SHIFTS = _Shape(4, "c", "context")
+_SHIFTS = _Shape(4, "c", "context", floats=("c",))
+_INTERACTIONS = _Shape(1, "context", "outcome", "i", floats=("i",))
+_REWARDS = _Shape(1, "context", "outcome", "r", "V", floats=("r", "V"))
 _ZERO_CONTEXT, _ZERO_BASE, _ZERO_CELL = map(_quote, ("zero conditioning mass", "zero base mass",
                                                     "zero joint mass"))
 
@@ -117,7 +120,7 @@ def _pick_direction(args, joint: JointTable) -> Direction:
 
 def _dist_text(s, outcomes: list[str], dist: DistVector) -> str:
     """A distribution over a `_Split`'s outcomes, whose texts are given, in canonical order."""
-    return _DIST([(outcomes[ti], format_float(dist.probs[ti])) for ti in s.outcome_order])
+    return _DIST([(outcomes[ti], dist.probs[ti]) for ti in s.outcome_order])
 
 
 def _tol(args) -> float | None:
@@ -171,9 +174,8 @@ def cmd_solve(args) -> int:
             skipped.append((contexts[ci], _ZERO_CONTEXT))
             continue
         solution = solve_tilt(_problem(s, ci, rows.get(ci), terminals.__getitem__, config, True))
-        entries.append((contexts[ci], format_float(solution.log_normalizer),
-                        _dist_text(s, outcomes, solution.optimizer),
-                        format_float(solution.soft_value)))
+        entries.append((contexts[ci], solution.log_normalizer,
+                        _dist_text(s, outcomes, solution.optimizer), solution.soft_value))
     doc = direction_fields(direction)
     doc.update({"alpha": float(alpha), "entries": _SOLVED(entries), "skipped": _SKIPPED(skipped)})
     _emit(args.out, doc)
@@ -197,14 +199,13 @@ def cmd_identify(args) -> int:
     report.update({
         "alpha": float(args.alpha),
         "contexts": len(interactions),
-        "context_values": _CONTEXT_VALUES((format_float(v), contexts[ci])
-                                          for ci, v in values.items()),
+        "context_values": _CONTEXT_VALUES((v, contexts[ci]) for ci, v in values.items()),
         "excluded": _EXCLUDED((contexts[ci], outcomes[ti], _ZERO_CELL) for ci, ti in excluded),
         "skipped": _SKIPPED((contexts[ci], _ZERO_CONTEXT) for ci in s.order if not s.m_cond[ci]),
     })
-    interaction = _table_text(joint, direction, args.alpha, interactions, ("i",),
+    interaction = _table_text(joint, direction, args.alpha, interactions, _INTERACTIONS,
                               lambda ci, ti, i: (i,))
-    rewards = _table_text(joint, direction, args.alpha, rows, ("r", "V"),
+    rewards = _table_text(joint, direction, args.alpha, rows, _REWARDS,
                           lambda ci, ti, r: (r, terminal(s.ctx_full[ci] + s.out_full[ti])))
     _write_files([
         (f"{args.out}.interaction.json", interaction + "\n"),
@@ -228,9 +229,7 @@ def _check_doc(check, tolerance, grid, residuals, skipped=(), details=None, max_
         "tolerance": tolerance,
         "max_residual": max_residual,
         "passed": max_residual <= tolerance,
-        "residuals": _RESIDUALS(
-            [(texts[c], format_float(residuals[c])) for c in order if c in residuals]
-        ),
+        "residuals": _RESIDUALS([(texts[c], residuals[c]) for c in order if c in residuals]),
         "skipped": _SKIPPED_AT([(texts[c], _quote(skipped[c])) for c in order if c in skipped]),
     }
     if details is not None:
@@ -248,7 +247,7 @@ def _check_gauge(joint: JointTable, table: _Rows, tol: float) -> dict:
     details: dict = {"convention": "external"}
     if max_residual <= tol:
         contexts = _bindings(joint, s.cond, 6)[0]
-        details["shifts"] = _SHIFTS((format_float(c), contexts[ci]) for ci, c in shifts.items())
+        details["shifts"] = _SHIFTS((c, contexts[ci]) for ci, c in shifts.items())
     else:  # a residual above tol >= 0 was seen, so there is a witness
         details["witness"] = dict(s.events[witness].items_sorted)
     full = _bindings(joint, s.full, 5)
@@ -403,8 +402,7 @@ def cmd_construct(args) -> int:
             skipped.append((contexts[ci], _ZERO_BASE))
             continue
         posterior, residual = _posterior_and_residual(prior, signal, tol_admit)
-        entries.append((contexts[ci], format_float(residual),
-                        _dist_text(s, outcomes, posterior)))
+        entries.append((contexts[ci], residual, _dist_text(s, outcomes, posterior)))
     doc = direction_fields(table.direction)
     doc.update({"tol_admit": tol_admit, "entries": _CONSTRUCTED(entries),
                 "skipped": _SKIPPED(skipped)})

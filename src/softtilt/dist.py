@@ -169,11 +169,9 @@ class JointTable:
         self._sizes = tuple(len(s.alphabet) for s in specs)
         self._all = tuple(range(len(specs)))
         tol = self._tol_norm = float(tol_norm)
-        # objects derived from the cells, keyed by what they were derived from
+        # objects derived from the variables and cells, keyed by what they came from
         self._derived: dict[tuple, object] = {}
-        # per name, each label's offset in the full grid
-        offsets = {s.name: dict(zip(s.alphabet, self._offsets(self._all, (v,))))
-                   for v, s in enumerate(specs)}
+        offsets = self._label_offsets(self._all)
         ratios: dict[int, tuple[int, int]] = {}
         for key, value in mass.items() if isinstance(mass, Mapping) else mass:
             # a plain dict binding every variable, with a finite float >= 0, sits at the sum of
@@ -189,10 +187,7 @@ class JointTable:
                 if i >= 0 and i not in ratios:
                     ratios[i] = value.as_integer_ratio()
                     continue
-            hit = self._index_of(key)
-            if hit is None or len(hit[0]) != len(specs):
-                hit = self._locate(as_assignment(key), full=True)
-            i = hit[1]
+            i = self._locate(as_assignment(key), full=True)[1]
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"mass must be finite, got {value!r}")
             if isinstance(value, bool) or not isinstance(value, (float, Rational)):
@@ -226,21 +221,6 @@ class JointTable:
         if full and len(digits) != len(self._all):
             missing = next(s.name for s in self._variables if s.name not in set(event))
             raise ValidationError(f"assignment {event} does not bind {missing!r}")
-        return self._fold(digits)
-
-    def _index_of(self, binding) -> tuple[tuple[int, ...], int] | None:
-        """`_locate` for a plain dict binding, one lookup per variable and no
-        `Assignment`; None on any miss (not a nonempty dict, an unknown name or
-        label, an unhashable label), which callers resolve by `_locate`."""
-        if type(binding) is not dict or not binding:
-            return None
-        try:
-            return self._fold([self._labels[name][label] for name, label in binding.items()])
-        except (KeyError, TypeError):
-            return None
-
-    def _fold(self, digits: list[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-        """The sorted variable indices of (variable, digit) pairs and their flat index."""
         digits.sort()
         i = 0
         for v, d in digits:
@@ -274,14 +254,33 @@ class JointTable:
             offsets = [o + d * stride for o in offsets for d in range(self._sizes[v])]
         return offsets
 
+    def _label_offsets(self, group: tuple[int, ...]) -> dict[str, dict[str, int]]:
+        """Per name of a group of variable indices, each label's offset in the grid over
+        the group, where a binding of the whole group sits at the sum of its labels'."""
+        return self._memo(("label offsets", group), lambda: {
+            self._variables[v].name: dict(zip(self._variables[v].alphabet,
+                                              self._offsets(group, (v,))))
+            for v in group
+        })
+
     def _order(self, group: tuple[int, ...]) -> list[int]:
         """The cell indices of the grid over a group of variable indices in canonical
         order, as `items_sorted` sorts their assignments: by label, in name order."""
-        order = [0]
-        for v in sorted(group, key=lambda v: self._variables[v].name):
-            axis = sorted(zip(self._variables[v].alphabet, self._offsets(group, (v,))))
-            order = [cell + off for cell in order for _, off in axis]
-        return order
+        def build() -> list[int]:
+            order = [0]
+            for _, labels in sorted(self._label_offsets(group).items()):
+                axis = sorted(labels.items())
+                order = [cell + off for cell in order for _, off in axis]
+            return order
+
+        return self._memo(("order", group), build)
+
+    def _memo(self, key: tuple, build):
+        """The object derived under key, built by build() once per table."""
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = build()
+        return hit
 
     def _mass(self, event: Assignment) -> int:
         group, i = self._locate(event)
@@ -400,13 +399,13 @@ def marginal(joint: JointTable, keep: Iterable[str]) -> JointTable:
     Built once per table and subset; later calls return the same object.
     """
     group = joint._group(keep)
-    table = joint._derived.get(("marginal", group))
-    if table is None:
+
+    def build() -> JointTable:
         specs = tuple(joint.variables[v] for v in group)
         masses = (Fraction(c, joint._den) for c in joint._cells_over(group))
-        mass = zip(iter_group_assignments(specs), masses)
-        table = joint._derived[("marginal", group)] = JointTable(specs, mass, joint.tol_norm)
-    return table
+        return JointTable(specs, zip(iter_group_assignments(specs), masses), joint.tol_norm)
+
+    return joint._memo(("marginal", group), build)
 
 
 def conditional(joint: JointTable, target: Iterable[str], context) -> DistVector:

@@ -111,10 +111,10 @@ class _Split:
         self.m_base, self.m_prior = joint._cells_over(base), joint._cells_over(prior)
         self.out_full, self.ctx_full = joint._offsets(full, target), joint._offsets(full, cond)
         self.out_prior, self.base_prior = joint._offsets(prior, target), joint._offsets(prior, base)
-        observed = tuple(v for v in cond if v not in base)
+        observed = joint._offsets(cond, tuple(v for v in cond if v not in base))
         self.ctx_base = [0] * len(self.m_cond)  # base index of each context index
         for bi, at in enumerate(joint._offsets(cond, base)):
-            for o in joint._offsets(cond, observed):
+            for o in observed:
                 self.ctx_base[at + o] = bi
         self.target, self.cond, self.full = target, cond, full
         self.target_specs = tuple(joint.variables[v] for v in target)
@@ -183,11 +183,7 @@ class _Split:
 
 
 def _split(joint: JointTable, direction: Direction) -> _Split:
-    key = ("split", direction)
-    split = joint._derived.get(key)
-    if split is None:
-        split = joint._derived[key] = _Split(joint, direction)
-    return split
+    return joint._memo(("split", direction), lambda: _Split(joint, direction))
 
 
 def _lookup(s: _Split, values: "EventValueFunction"):

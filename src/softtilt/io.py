@@ -5,25 +5,21 @@ lists in canonical (lexicographic assignment) order, numbers at 17
 significant digits, nonfinite floats as quoted strings ("-inf" is the
 interaction sentinel). Same inputs and flags therefore produce
 byte-identical bytes. `_Shape` writes every entry list of a report or
-artifact (the reward and interaction tables, `solve`'s and `construct`'s
-entries, each check's residuals, skipped cells and shifts, and `identify`'s
-context values, excluded cells and skipped contexts) from one template per
-entry shape, with binding texts that `_bindings` renders once per grid cell
-and depth. `_table_text` writes the reward and interaction files from rows
-of `_Split` indices, in canonical order. `_render` writes the small headers
-around them, and `dumps_report` serves library callers, with the same bytes.
+artifact from one `%`-template per entry shape, filled with binding texts
+that `_bindings` renders once per grid cell and depth and with raw floats,
+or by columns through `format_float` where a float is nonfinite (`identify`'s
+"-inf" interactions). `_table_text` writes the reward and interaction files
+from rows of `_Split` indices, `_render` the headers around the lists, and
+`dumps_report` serves library callers with the same bytes.
 
-The joint reader hands a document whose entries are all plain dicts, each
-with a plain dict `assign` and a float `p`, straight to `JointTable`, which
-places an `assign` binding every variable at the sum of its labels' offsets
-in the full grid; on any fault the whole document is read again by the
-validating path, so that faults are reported in its order. The reward and
-interaction reader resolves a `context` or `outcome` that is a plain dict of
-known names and labels by one lookup per variable, once per distinct binding
-object, and stores the values as rows of `_Split` indices. Any other binding,
-and every binding of a values or baseline file, takes the validating path,
-`_binding` then `_locate`, whose error texts and exit codes are the contract;
-duplicate, mass and total checks run on both paths.
+Both readers place a plain dict binding exactly its group's variables at the
+sum of its labels' offsets in the group's grid (the joint reader each `assign`
+of a document of plain dict entries with float `p`s, the row reader each
+`context` and `outcome`). Any other binding or fault, after which the joint
+reader reads the whole document again, and every binding of a values or
+baseline file take the validating path, `_binding` then `_locate`, whose
+error texts, exit codes and fault order are the contract; duplicate, mass
+and total checks run on both paths.
 """
 
 from __future__ import annotations
@@ -33,6 +29,7 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .coherence import EventValueFunction
@@ -269,14 +266,11 @@ class _Rows:
 
 
 def _indices(joint: JointTable, s: _Split, direction: Direction, ctx, outcome) -> tuple[int, int]:
-    """An entry's context and outcome indices in the `_Split`: by label lookup,
-    or on a miss by the validating path, whose checks and messages are the contract."""
-    c_hit, o_hit = joint._index_of(ctx), joint._index_of(outcome)
-    if c_hit is None or o_hit is None:
-        _binding(ctx, "'context'")
-        _binding(outcome, "'outcome'")
-        c_hit, o_hit = _locate(joint, ctx, "'context'"), _locate(joint, outcome, "'outcome'")
-    (c_group, ci), (o_group, ti) = c_hit, o_hit
+    """An entry's `_Split` indices on the validating path, whose texts are the contract."""
+    _binding(ctx, "'context'")
+    _binding(outcome, "'outcome'")
+    (c_group, ci), (o_group, ti) = (_locate(joint, ctx, "'context'"),
+                                    _locate(joint, outcome, "'outcome'"))
     _require(c_group == s.cond, lambda: (
         f"'context' must bind exactly {sorted(direction.conditioning)!r}, got {Assignment(ctx)}"
     ))
@@ -287,10 +281,10 @@ def _indices(joint: JointTable, s: _Split, direction: Direction, ctx, outcome) -
 
 
 def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _Rows:
-    """A "reward" or "interaction" document as rows. Each distinct binding object
-    is resolved once by `_indices`, through a memo keyed by its items. A rewards
-    file needs an entry at every prior-supported outcome of each positive-mass
-    context it names, or with fill_zero gets r = V = 0 there."""
+    """A "reward" or "interaction" document as rows, each `context` and `outcome`
+    at the sum of its labels' offsets in its group's grid, or on any miss by
+    `_indices`. A rewards file needs an entry at every prior-supported outcome of
+    each positive-mass context it names, or with fill_zero gets r = V = 0 there."""
     rewards = kind == "reward"
     _require(isinstance(doc, dict), f"{kind} document must be an object")
     alpha = doc.get("alpha")
@@ -302,18 +296,25 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
     entry_docs = doc.get("entries")
     _require(isinstance(entry_docs, list), "'entries' must be an array")
     ctx_full, out_full, isfinite = s.ctx_full, s.out_full, math.isfinite
+    c_offsets, o_offsets = joint._label_offsets(s.cond), joint._label_offsets(s.target)
+    n_cond, n_target = len(s.cond), len(s.target)
     rows: dict[int, list] = {}
     terminals = [None] * len(s.m_full) if rewards else None
-    ctx_memo: dict[tuple, int] = {}
-    out_memo: dict[tuple, int] = {}
     for item in entry_docs:
         _require(isinstance(item, dict), "each entry must be an object")
         ctx, outcome = item.get("context"), item.get("outcome")
-        try:
-            ci, ti = ctx_memo[tuple(ctx.items())], out_memo[tuple(outcome.items())]
-        except (AttributeError, KeyError, TypeError):  # not a dict, unseen or unhashable
+        ci = -1
+        if type(ctx) is type(outcome) is dict and len(ctx) == n_cond and len(outcome) == n_target:
+            try:
+                ci = ti = 0
+                for name, label in ctx.items():
+                    ci += c_offsets[name][label]
+                for name, label in outcome.items():
+                    ti += o_offsets[name][label]
+            except (KeyError, TypeError):  # an unknown or unhashable name or label
+                ci = -1
+        if ci < 0:
             ci, ti = _indices(joint, s, direction, ctx, outcome)
-            ctx_memo[tuple(ctx.items())], out_memo[tuple(outcome.items())] = ci, ti
         row = rows.get(ci)
         if row is None:
             row = rows[ci] = [None] * len(out_full)
@@ -367,19 +368,19 @@ def interaction_from_doc(doc, joint: JointTable) -> tuple[float | None, Interact
     return table.alpha, InteractionTable(table.direction, table.split.table(table.rows.items()))
 
 
-def _table_text(joint: JointTable, direction: Direction, alpha, rows, names, values) -> str:
-    """A reward or interaction document of rows as `_read_rows` reads them: an entry
-    per value, in canonical order, whose fields `names` hold values(ci, ti, value)."""
+def _table_text(joint: JointTable, direction: Direction, alpha, rows, shape, values) -> str:
+    """A reward or interaction document of rows, as `_read_rows` reads them: `shape`
+    fills an entry per value, in canonical order, with context, outcome, *values(ci, ti, v)."""
     s = _split(joint, direction)
     header = direction_fields(direction)
     if alpha is not None:
         header["alpha"] = float(alpha)
     contexts, outcomes = _bindings(joint, s.cond, 3)[0], _bindings(joint, s.target, 3)[0]
     entries = [
-        (contexts[ci], outcomes[ti], *map(format_float, values(ci, ti, rows[ci][ti])))
+        (contexts[ci], outcomes[ti], *values(ci, ti, rows[ci][ti]))
         for ci in s.order if ci in rows for ti in s.outcome_order if rows[ci][ti] is not None
     ]
-    header["entries"] = _Shape(1, "context", "outcome", *names)(entries)
+    header["entries"] = shape(entries)
     return _render(header, 0)
 
 
@@ -456,13 +457,7 @@ def family_from_doc(doc) -> CountableFamily:
 # ------------------------------------------------------------- rendering
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if x == math.inf:
-        return '"inf"'
-    if x == -math.inf:
-        return '"-inf"'
-    return format(x, ".17g")
+    return format(x, ".17g") if math.isfinite(x) else f'"{x}"'  # "nan", "inf" or "-inf"
 
 
 # what json.dumps does with a str under its defaults (ensure_ascii)
@@ -474,19 +469,32 @@ class _Raw(str):
 
 
 class _Shape:
-    """One entry shape: a list at `depth` of objects with the given keys, each filled
-    from a row of its fields' texts in the keys' order, as `_render` renders the
-    dicts. The keys are sorted once, into one `str.format` template."""
+    """A list at `depth` of objects with the given keys, filled from rows of their values
+    in key order (raw floats in the `floats` keys, texts in the others) as `_render` would:
+    by one `%`-template over the sorted keys, or by columns where a float is nonfinite."""
 
-    def __init__(self, depth: int, *keys: str):
-        pad, inner = "  " * (depth + 1), "  " * (depth + 2)
-        slots = sorted(zip(keys, range(len(keys))))
-        quoted = ((_quote(key).replace("{", "{{").replace("}", "}}"), at) for key, at in slots)
-        fields = ",\n".join(f"{inner}{key}: {{{at}}}" for key, at in quoted)
-        self.template, self.close = f"{pad}{{{{\n{fields}\n{pad}}}}}", "\n" + "  " * depth + "]"
+    def __init__(self, depth: int, *keys: str, floats: Sequence[str] = ()):
+        pad, inner, self.close = "  " * (depth + 1), "  " * (depth + 2), "\n" + "  " * depth + "]"
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.pick = None if order == sorted(order) else itemgetter(*order)
+        self.floats = [k for k, at in enumerate(order) if keys[at] in floats]
+
+        def template(number: str) -> str:
+            fields = ",\n".join(f"{inner}{_quote(keys[at]).replace('%', '%%')}: "
+                                f"{number if keys[at] in floats else '%s'}" for at in order)
+            return f"{pad}{{\n{fields}\n{pad}}}"
+
+        self.template, self.text = template("%.17g"), template("%s")
 
     def __call__(self, rows) -> _Raw:
-        items = [self.template.format(*row) for row in rows]
+        rows = list(rows if self.pick is None else map(self.pick, rows))
+        # a sum of finite floats is finite, or overflows to the checked fallback
+        if all(math.isfinite(sum(map(itemgetter(k), rows))) for k in self.floats):
+            items = [self.template % row for row in rows]
+        else:  # by columns, each float column as `format_float` writes it
+            columns = [map(format_float, c) if k in self.floats else c
+                       for k, c in enumerate(zip(*rows))]
+            items = [self.text % row for row in zip(*columns)]
         return _Raw("[\n" + ",\n".join(items) + self.close if items else "[]")
 
 
@@ -495,9 +503,7 @@ def _bindings(joint: JointTable, group: tuple[int, ...], depth: int) -> tuple[li
     dict at depth, by cell index, and the cell indices in canonical order
     (`JointTable._order`). Built from one line per label, once per joint, group
     and depth."""
-    key = ("bindings", group, depth)
-    hit = joint._derived.get(key)
-    if hit is None:
+    def build() -> tuple[list, list]:
         inner, close = "  " * (depth + 1), "\n" + "  " * depth + "}"
         specs = [joint.variables[v] for v in group]
         by_name = sorted(range(len(specs)), key=lambda k: specs[k].name)
@@ -505,8 +511,9 @@ def _bindings(joint: JointTable, group: tuple[int, ...], depth: int) -> tuple[li
                  for spec in specs]
         texts = ["{\n" + ",\n".join([combo[k] for k in by_name]) + close
                  for combo in itertools.product(*lines)]
-        hit = joint._derived[key] = (texts, joint._order(group))
-    return hit
+        return texts, joint._order(group)
+
+    return joint._memo(("bindings", group, depth), build)
 
 
 def dumps_report(doc) -> str:

@@ -35,6 +35,7 @@ from softtilt import (
     iter_group_assignments,
 )
 from softtilt.countable import _TruncationRun
+from softtilt.io import direction_from_doc
 
 VAR_NAMES = ("X", "Y", "Z")
 BITS = ("0", "1")
@@ -422,6 +423,96 @@ def ref_joint_doc(doc) -> tuple[dict[Assignment, Fraction], int, Fraction]:
         raise SchemaError(f"masses sum to {float(total)!r}, off 1 by more than 1e-09")
     den = math.lcm(*(m.denominator for m in cells.values()))
     return {cell: m for cell, m in cells.items() if m}, den, total
+
+
+def _ref_value(value) -> float | None:
+    """A JSON number as a finite float, or None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def ref_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False):
+    """A "reward" or "interaction" document read entry by entry on the validating
+    path only: alpha, the direction, the values by context (in the order the file
+    first names them) and outcome, and for rewards V by full event, else None.
+    Faults raise the reader's errors with its texts, in its order: per entry, in
+    order, its shape; the shapes of its `context` then `outcome`; their names and
+    labels (each sorted by name); the variables each binds; a repeated cell; its
+    values. Last, a rewards file misses no prior-supported outcome (in grid order)
+    at a positive-mass context (in the order first named), or with fill_zero gets
+    r = V = 0 there."""
+    rewards = kind == "reward"
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{kind} document must be an object")
+    alpha = doc.get("alpha")
+    if rewards or alpha is not None:
+        alpha = _ref_value(alpha)
+        if alpha is None:
+            raise SchemaError("'alpha' must be a finite number")
+        if not alpha > 0:
+            raise SchemaError(f"'alpha' must be > 0, got {alpha!r}")
+    direction = direction_from_doc(doc, joint)
+    entries = doc.get("entries")
+    if not isinstance(entries, list):
+        raise SchemaError("'entries' must be an array")
+    alphabets = {s.name: s.alphabet for s in joint.variables}
+    groups = (("'context'", "context", direction.conditioning),
+              ("'outcome'", "outcome", direction.target))
+    rows: dict[Assignment, dict[Assignment, float]] = {}
+    terminals: dict[Assignment, float] | None = {} if rewards else None
+    for item in entries:
+        if not isinstance(item, dict):
+            raise SchemaError("each entry must be an object")
+        for what, key, _ in groups:
+            obj = item.get(key)
+            if not isinstance(obj, dict) or not obj:
+                raise SchemaError(f"{what} must be a nonempty object")
+            if not all(isinstance(k, str) and isinstance(v, str) for k, v in obj.items()):
+                raise SchemaError(f"{what} must map strings to strings")
+        for what, key, _ in groups:
+            for name, label in sorted(item[key].items()):
+                if name not in alphabets:
+                    raise SchemaError(f"{what}: unknown variable {name!r}")
+                if label not in alphabets[name]:
+                    raise SchemaError(f"{what}: label {label!r} is not in the alphabet of {name!r}")
+        for what, key, names in groups:
+            if set(item[key]) != set(names):
+                raise SchemaError(f"{what} must bind exactly {sorted(names)!r}, "
+                                  f"got {Assignment(item[key])}")
+        ctx, outcome = Assignment(item["context"]), Assignment(item["outcome"])
+        row = rows.setdefault(ctx, {})
+        if outcome in row:
+            raise SchemaError(f"duplicate entry at {ctx}/{outcome}")
+        if rewards:
+            for field in ("r", "V"):
+                if _ref_value(item.get(field)) is None:
+                    raise SchemaError(f"'{field}' at {ctx}/{outcome} must be a finite number")
+            row[outcome] = _ref_value(item["r"])
+            terminals[ctx.union(outcome)] = _ref_value(item["V"])
+            continue
+        i = -math.inf if item.get("i") == "-inf" else _ref_value(item.get("i"))
+        if i is None:
+            raise SchemaError(f"'i' at {ctx}/{outcome} must be a number or \"-inf\"")
+        row[outcome] = i
+    outcomes = list(iter_group_assignments(joint.group(direction.target)))
+    for ctx, row in rows.items() if rewards else ():
+        if not ref_event_mass(joint, ctx):
+            continue
+        base = ctx.restrict(direction.base)
+        for outcome in outcomes:
+            if outcome not in row and ref_event_mass(joint, outcome.union(base)):
+                if not fill_zero:
+                    raise CoverageMismatch(
+                        f"missing entry for outcome {outcome} at context {ctx} "
+                        "(pass --fill-zero to default missing entries to 0)"
+                    )
+                row[outcome] = terminals[ctx.union(outcome)] = 0.0
+    return alpha, direction, rows, terminals
 
 
 # Plain per-term reference for the countable kernel: the term-by-term scan

@@ -32,7 +32,7 @@ from softtilt import (
     solve_tilt,
     total_variation,
 )
-from softtilt.cli import _merge_terminals
+from softtilt.cli import _REWARDS, _merge_terminals
 from softtilt.coherence import _problem
 from softtilt.identify import _calibrate, _interactions, _lookup, _split
 from softtilt.io import _read_rows, _table_text, reward_from_doc
@@ -380,7 +380,7 @@ class TestFrontDoors:
         for direction, extra in ((FWD, fwd_extra), (FWD.swapped(), swp_extra)):
             s = _split(j, direction)
             rows = _calibrate(s, _interactions(s), lambda cell: 0.0, 1.0)[0]
-            text = _table_text(j, direction, 1.0, rows, ("r", "V"), lambda ci, ti, r: (r, 0.0))
+            text = _table_text(j, direction, 1.0, rows, _REWARDS, lambda ci, ti, r: (r, 0.0))
             doc = json.loads(text)
             doc["entries"] += [
                 {"context": ctx, "outcome": outcome, "r": 0.0, "V": 0.0}

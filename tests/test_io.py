@@ -6,8 +6,10 @@ import itertools
 import json
 import math
 import random
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -31,8 +33,10 @@ from softtilt import (
     joint_f3,
     log_normalizer_truncated,
 )
+from softtilt.cli import _INTERACTIONS, _REWARDS, main
 from softtilt.identify import _lookup, _split
 from softtilt.io import (
+    _read_rows,
     _table_text,
     baseline_from_doc,
     direction_fields,
@@ -50,27 +54,36 @@ from softtilt.io import (
     values_from_doc,
     values_to_doc,
 )
-from helpers import ref_joint_doc, ref_table_doc, sparse_joint
+from helpers import (
+    random_direction,
+    ref_joint_doc,
+    ref_rows,
+    ref_table_doc,
+    sparse_joint,
+    sparse_random_joint,
+    tag,
+)
 
 FWD = Direction(target=("X",), base=("Y",), observed=("Z",))
 
 
-def table_text(joint, direction, alpha, table, names, values) -> str:
+def table_text(joint, direction, alpha, table, shape, values) -> str:
     """What the row writer makes of a table keyed by context and outcome, each
-    entry's fields `names` holding the floats values(context, outcome, value)."""
+    entry filled by `shape` with the floats values(context, outcome, value)."""
     s = _split(joint, direction)
     rows = {s.ctx_index[ctx]: s.row(row) for ctx, row in table.items()}
-    return _table_text(joint, direction, alpha, rows, names,
+    return _table_text(joint, direction, alpha, rows, shape,
                        lambda ci, ti, v: values(s.contexts[ci], s.outcomes[ti], v))
 
 
 def interaction_text(joint, table: InteractionTable, alpha=None) -> str:
-    return table_text(joint, table.direction, alpha, table.values, ("i",), lambda c, o, i: (i,))
+    return table_text(joint, table.direction, alpha, table.values, _INTERACTIONS,
+                      lambda c, o, i: (i,))
 
 
 def reward_text(joint, alpha, rewards: RewardTable) -> str:
     """The rewards document of a table under zero terminal values."""
-    return table_text(joint, rewards.direction, alpha, rewards.entries, ("r", "V"),
+    return table_text(joint, rewards.direction, alpha, rewards.entries, _REWARDS,
                       lambda c, o, r: (r, 0.0))
 
 
@@ -254,7 +267,7 @@ class TestJointReaderMatchesReference:
     Each draw reads a `random_joint_doc` through JSON: the cells, the common
     denominator and the total must be equal. A document with every `p` a float
     must also read the same with the validating path (`_binding`) and the
-    per-entry lookup (`JointTable._index_of`) made to fail, so that the fast
+    per-entry resolver (`JointTable._locate`) made to fail, so that the fast
     path, which sums label offsets, is the one tested. With one fault injected,
     both readers must raise the same error class with the same text.
     """
@@ -273,8 +286,130 @@ class TestJointReaderMatchesReference:
             assert isinstance(want[0], type) and issubclass(want[0], SchemaError), kind
         elif all(type(item["p"]) is float for item in doc["mass"]):
             with (mock.patch("softtilt.io._binding", side_effect=AssertionError("validating")),
-                  mock.patch.object(JointTable, "_index_of", side_effect=AssertionError("lookup"))):
+                  mock.patch.object(JointTable, "_locate", side_effect=AssertionError("locate"))):
                 assert _library(doc) == want
+
+
+def _shuffled(rng: random.Random, obj: dict) -> dict:
+    items = list(obj.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def _entry_fault(rng: random.Random, doc: dict, joint: JointTable) -> str:
+    """Inject one fault into a binding of a reward or interaction document; returns its name."""
+    groups = doc["direction_groups"]
+    cond, target = groups["base"] + groups["observed"], groups["target"]
+    entries = doc["entries"]
+    entry = rng.choice(entries)
+    key = rng.choice(("context", "outcome"))
+    binding, own, other = entry[key], *((cond, target) if key == "context" else (target, cond))
+    name = rng.choice(list(binding))
+    kind = rng.choice((
+        "unknown name", "unknown label", "int label", "null label", "list label",
+        "list binding", "string binding", "empty binding", "extra variable",
+        "missing variable", "binds the other group", "duplicate",
+    ))
+    if kind == "unknown name":  # in place of a name, or beside it
+        binding["V"] = binding.pop(name) if rng.random() < 0.5 else "0"
+    elif kind.endswith(" label"):
+        binding[name] = {"unknown": "?", "int": 0, "null": None, "list": ["0"]}[kind.split()[0]]
+    elif kind == "list binding":
+        entry[key] = [[n, label] for n, label in binding.items()]
+    elif kind == "string binding":
+        entry[key] = ",".join(f"{n}={label}" for n, label in binding.items())
+    elif kind == "empty binding":
+        entry[key] = {}
+    elif kind == "extra variable":
+        extra = rng.choice([n for n in joint.names if n not in own])
+        binding[extra] = rng.choice(joint.variable(extra).alphabet)
+    elif kind == "missing variable":
+        del binding[name]
+    elif kind == "binds the other group":  # a context binding the target, or the converse
+        swap = rng.choice(other)
+        binding[swap] = rng.choice(joint.variable(swap).alphabet)
+        del binding[name]
+    else:  # the same cell again, its bindings' keys reordered
+        copy = dict(entry, context=dict(reversed(list(entry["context"].items()))),
+                    outcome=dict(reversed(list(entry["outcome"].items()))))
+        entries.insert(rng.randint(0, len(entries)), copy)
+    return kind
+
+
+def _rows(doc, joint: JointTable, kind: str, fill_zero: bool):
+    """`_read_rows` keyed as `helpers.ref_rows` keys its result."""
+    table = _read_rows(doc, joint, kind, fill_zero)
+    s = table.split
+    rows = [(s.contexts[ci], {s.outcomes[ti]: v for ti, v in enumerate(row) if v is not None})
+            for ci, row in table.rows.items()]
+    terminals = table.terminals and {
+        s.events[cell]: v for cell, v in enumerate(table.terminals) if v is not None
+    }
+    return table.alpha, table.direction, rows, terminals
+
+
+def _ref_rows(doc, joint: JointTable, kind: str, fill_zero: bool):
+    alpha, direction, rows, terminals = ref_rows(doc, joint, kind, fill_zero)
+    return alpha, direction, list(rows.items()), terminals
+
+
+def _identified(rng: random.Random) -> tuple[JointTable, dict]:
+    """A `sparse_random_joint` as the CLI reads it, and `identify`'s reward and
+    interaction documents on it in a random direction, by reader kind, with
+    their entries, entry keys and binding keys shuffled."""
+    joint_doc = joint_to_doc(sparse_random_joint(rng, min_vars=2))
+    joint = joint_from_doc(joint_doc)
+    target, base, observed = random_direction(rng, joint.names)
+    with tempfile.TemporaryDirectory() as tmp:
+        j, prefix = Path(tmp) / "joint.json", Path(tmp) / "fwd"
+        j.write_text(json.dumps(joint_doc), encoding="utf-8")
+        argv = ["identify", j, "--direction", tag(target, base + observed), "--out", prefix]
+        assert main([str(a) for a in argv]) == 0
+        docs = {kind: json.loads(Path(f"{prefix}.{part}.json").read_text(encoding="utf-8"))
+                for kind, part in (("reward", "rewards"), ("interaction", "interaction"))}
+    for doc in docs.values():
+        doc["entries"] = [_shuffled(rng, dict(entry, context=_shuffled(rng, entry["context"]),
+                                              outcome=_shuffled(rng, entry["outcome"])))
+                          for entry in doc["entries"]]
+        rng.shuffle(doc["entries"])
+    return joint, docs
+
+
+class TestRowReaderMatchesReference:
+    """`io._read_rows` against the entry-by-entry reader `helpers.ref_rows`.
+
+    Each draw reads both files of `_identified` (a joint with zero cells, so that
+    a rewards file misses the posterior-null ones and reads only with
+    fill_zero): the rows in the order first named and the terminals must be
+    equal, or both readers must raise the same error class with the same text.
+    With one binding fault injected, both must raise the same SchemaError. Read
+    without fault, the same documents must read the same with the validating
+    path (`io._indices`) made to fail, so that the label-offset path is the one
+    tested.
+    """
+
+    @seed(0x20E5)
+    @settings(max_examples=150)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_row_reader_matches_reference(self, case):
+        rng = random.Random(case)
+        joint, docs = _identified(rng)
+        for kind, doc in docs.items():
+            fault = _entry_fault(rng, doc, joint) if rng.random() < 0.5 else None
+            doc, fill_zero = json.loads(json.dumps(doc)), rng.random() < 0.5
+            want = _outcome(lambda d: _ref_rows(d, joint, kind, fill_zero), doc)
+            assert _outcome(lambda d: _rows(d, joint, kind, fill_zero), doc) == want, fault
+            if fault is not None:
+                assert isinstance(want[0], type) and issubclass(want[0], SchemaError), fault
+
+    def test_offset_path_is_taken(self):
+        rng = random.Random(0x0FF5E7)
+        for _ in range(40):
+            joint, docs = _identified(rng)
+            for kind, doc in docs.items():
+                want = _outcome(lambda d: _ref_rows(d, joint, kind, True), doc)
+                with mock.patch("softtilt.io._indices", side_effect=AssertionError("validating")):
+                    assert _outcome(lambda d: _rows(d, joint, kind, True), doc) == want
 
 
 class TestDirectionParsing:
@@ -685,6 +820,6 @@ class TestTableWriter:
         s = _split(joint, direction)
         terminal = _lookup(s, terminals)
         text = _table_text(joint, direction, alpha,
-                           {s.ctx_index[ctx]: s.row(row) for ctx, row in rows.items()}, ("r", "V"),
+                           {s.ctx_index[ctx]: s.row(row) for ctx, row in rows.items()}, _REWARDS,
                            lambda ci, ti, r: (r, terminal(s.ctx_full[ci] + s.out_full[ti])))
         assert text == dumps_report(want)

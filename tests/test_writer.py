@@ -1,12 +1,15 @@
 """The one entry writer against `dumps_report` of plain dicts.
 
-Every entry list the CLI writes comes from `io._Shape` (one template per entry
-shape) filled with binding texts from `io._bindings` (one text per grid cell
-and depth). Two seeded properties hold those pieces to `io._render`, the
-renderer behind `dumps_report`, over names and labels that JSON escapes
-(quotes, backslashes, braces, control and non-ASCII characters), one-label
-alphabets, multi-variable groups, nonfinite and signed-zero floats and empty
-lists.
+Every entry list the CLI writes comes from `io._Shape` (one `%`-template per
+entry shape) filled with binding texts from `io._bindings` (one text per grid
+cell and depth) and raw floats. Seeded properties hold those pieces to
+`io._render`, the renderer behind `dumps_report`, over names and labels that
+JSON escapes (quotes, backslashes, braces, percent signs, control and
+non-ASCII characters), one-label alphabets, multi-variable groups, empty
+lists, and float fields (in any position among the keys) of random 64-bit
+patterns, subnormals, signed zeros and the largest double, with one NaN or
+infinity among them in some lists. Another holds the template's `%.17g` to
+`format(x, ".17g")`, which `format_float` writes.
 
 A third runs every joint report kind through `cli.main` (`identify`'s report
 and artifacts, `solve` with and without a rewards file, the four checks,
@@ -24,6 +27,7 @@ import io
 import json
 import math
 import random
+import struct
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -68,14 +72,29 @@ from softtilt.io import (
 )
 from helpers import random_baseline, random_direction, ref_gauge, ref_rewards, ref_table_doc
 
-# names and labels holding what JSON escapes: quotes, backslashes, braces,
-# control and non-ASCII characters (one outside the BMP)
+# names and labels holding what JSON escapes, and what a template would read:
+# quotes, backslashes, braces, percent signs, control and non-ASCII characters
+# (one outside the BMP)
 _TEXT = st.text(
-    st.sampled_from('aZ"\\{}\x00\x1f\u00e9\u2192\U0001f600 '), min_size=1, max_size=3
+    st.sampled_from('aZ"\\{}%\x00\x1f\u00e9\u2192\U0001f600 '), min_size=1, max_size=3
 )
 _FLOATS = st.one_of(
     st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)),
     st.floats(),
+)
+_NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# finite doubles: any 64-bit pattern, subnormals, signed zeros, the largest double
+_FINITE = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),
+    st.tuples(st.integers(0, 1), st.integers(1, 2**52 - 1)).map(
+        lambda t: _double(t[0] << 63 | t[1])),  # a subnormal of either sign
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)),
 )
 
 
@@ -123,6 +142,35 @@ class TestWriterPieces:
         assert got == _render(rows, depth)
         if depth == 1:  # a shape's text nests in a document as it is
             assert _render({"k": got}, 0) == dumps_report({"k": rows})
+
+    @seed(0xF1E1D5)
+    @settings(max_examples=300)
+    @given(
+        keys=st.lists(_TEXT, min_size=1, max_size=4, unique=True),
+        depth=st.integers(0, 5),
+        data=st.data(),
+    )
+    def test_float_fields_match_render(self, keys, depth, data):
+        """Raw floats in a shape's float fields, texts in the others, as `_render`
+        writes the dicts: by the template where every float is finite, else each
+        float as `format_float` writes it."""
+        floats = data.draw(st.sets(st.sampled_from(keys)))
+        text = st.one_of(_TEXT, st.dictionaries(_TEXT, _TEXT, min_size=1, max_size=3))
+        rows = data.draw(st.lists(st.fixed_dictionaries(
+            {k: _FINITE if k in floats else text for k in keys}), max_size=5))
+        if floats and rows and data.draw(st.booleans()):  # one NaN or infinity among them
+            row = data.draw(st.sampled_from(rows))
+            row[data.draw(st.sampled_from(sorted(floats)))] = data.draw(st.sampled_from(_NONFINITE))
+        shape = _Shape(depth, *keys, floats=tuple(floats))
+        got = shape([tuple(row[k] if k in floats else _render(row[k], depth + 2) for k in keys)
+                     for row in rows])
+        assert got == _render(rows, depth)
+
+    @seed(0x17)
+    @settings(max_examples=2000)
+    @given(st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite))
+    def test_template_digits_match_format(self, x):
+        assert "%.17g" % x == format(x, ".17g") == format_float(x)
 
 
 # ------------------------------------------------- every report kind, end to end
