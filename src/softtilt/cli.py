@@ -23,7 +23,6 @@ import sys
 from typing import Sequence
 
 from .coherence import EventValueFunction, _audit, _problem
-from .countable import DEFAULT_MAX_DOUBLINGS, DEFAULT_START, log_normalizer_truncated
 from .dist import DistVector, JointTable
 from .errors import (
     CoverageMismatch,
@@ -413,13 +412,12 @@ def cmd_construct(args) -> int:
 # -------------------------------------------------------------- countable
 
 def cmd_countable(args) -> int:
+    from .countable import log_normalizer_truncated  # the one subcommand that loads it
+
     family = family_from_doc(load_json(args.family))
-    estimate, cert = log_normalizer_truncated(
-        family,
-        eps_tail=args.eps_tail,
-        start=args.start,
-        max_doublings=args.max_doublings,
-    )
+    # only the budget flags given, so that the library's defaults apply to the others
+    budget = {k: getattr(args, k) for k in ("start", "max_doublings") if getattr(args, k) is not None}
+    estimate, cert = log_normalizer_truncated(family, eps_tail=args.eps_tail, **budget)
     doc = {
         "family": family.describe,
         "eps_tail": args.eps_tail,
@@ -487,8 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("countable", help="certified log-normalizer for a countable family")
     p.add_argument("family", help="family description JSON file")
     p.add_argument("--eps-tail", type=float, default=1e-12)
-    p.add_argument("--start", type=int, default=DEFAULT_START)
-    p.add_argument("--max-doublings", type=int, default=DEFAULT_MAX_DOUBLINGS)
+    p.add_argument("--start", type=int)
+    p.add_argument("--max-doublings", type=int)
     common_out(p)
     p.set_defaults(func=cmd_countable)
 

@@ -14,7 +14,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from math import fsum
-from statistics import median
 from typing import TYPE_CHECKING
 
 from .dist import (
@@ -451,6 +450,8 @@ def _gauge(s: _Split, rows, terminal_a, terminal_b):
     """`gauge_equivalent` over (context index, row of a, row of b) in canonical context order,
     given V at a full-group cell index: the residuals by that index, the shifts by context
     index, the largest residual and the first cell that attains it, or None."""
+    from statistics import median  # only the gauge check loads it
+
     residuals: dict[int, float] = {}
     shifts: dict[int, float] = {}
     max_residual = 0.0

@@ -31,12 +31,15 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .coherence import EventValueFunction
-from .countable import CountableFamily
 from .dist import Assignment, JointTable, VariableSpec, _trusted
 from .errors import CoverageMismatch, SchemaError, SoftTiltError, ValidationError
 from .identify import Direction, GaugeShift, InteractionTable, RewardTable, _split, _Split
+
+if TYPE_CHECKING:
+    from .countable import CountableFamily
 
 JOINT_SUM_TOL = 1e-9
 _MAX = int(1.7976931348623157e308)  # an int no larger in size converts to a finite float
@@ -428,6 +431,8 @@ def baseline_from_doc(doc, joint: JointTable | None = None) -> GaugeShift:
 # -------------------------------------------------------------- countable
 
 def family_from_doc(doc) -> CountableFamily:
+    from .countable import CountableFamily  # loaded by the countable subcommand alone
+
     _require(isinstance(doc, dict), "family document must be an object")
     prior = doc.get("prior")
     _require(isinstance(prior, dict), "'prior' must be an object")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import subprocess
@@ -590,3 +591,100 @@ print(counts)
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "[0, 6, 6, 6]\n"
+
+
+def fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports this checkout's softtilt."""
+    src = Path(softtilt.__file__).resolve().parents[1]
+    prelude = f"import contextlib, io, sys\nsys.path.insert(0, {str(src)!r})\n"
+    result = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    return result.stdout
+
+
+# softtilt.__all__ before its names resolved on first use: sorted, then __version__
+PUBLIC_NAMES = """
+    Assignment CalibrationResult CertificateStatus CountableFamily CoverageMismatch
+    DegenerateProblem Direction DirectionPair DistVector EventValueFunction GaugeComparison
+    GaugeShift InadmissibleSignal InfiniteInteraction InteractionTable InvalidBounds JointTable
+    MissingContext MissingEventValue NotFinite OrderIndependenceReport OutputError RewardTable
+    SchemaError SoftSolution SoftTiltError SoftUpdateProblem SolverConfig SupportViolation
+    TruncatedTilt TruncationCertificate UndefinedPMI ValidationError VariableSpec
+    ZeroMassContext apply_gauge as_assignment build_problem calibrate_rewards
+    check_admissibility commutativity_residual conditional construct_posterior
+    default_direction fixture_path gauge_equivalent identify_interaction
+    iter_group_assignments joint_f1 joint_f3 kl_decomposition_residual kl_divergence
+    log_normalizer_truncated logsumexp marginal objective_value order_independence_check pmi
+    soft_value solve_tilt tilt_truncated total_variation __version__
+""".split()
+SUBMODULES = ("coherence", "countable", "dist", "errors", "fixtures", "identify", "tilt")
+
+
+class TestImportSet:
+    """A joint subcommand loads only the modules it runs; the package face
+    resolves each public name from its home module on first use."""
+
+    def test_cli_import_loads_no_countable_fixtures_or_statistics(self):
+        out = fresh("""
+bare = "statistics" in sys.modules
+import softtilt.cli
+loaded = [m for m in ("softtilt.countable", "softtilt.fixtures") if m in sys.modules]
+print(loaded, "statistics" in sys.modules and not bare)
+""")
+        assert out == "[] False\n"
+
+    def test_joint_subcommands_do_not_load_countable(self, tmp_path):
+        prefix, swapped = str(tmp_path / "run"), str(tmp_path / "swp")
+        calls = [
+            ["identify", F3, "--out", prefix],
+            ["identify", F3, "--direction", "z_given_yx", "--out", swapped],
+            ["solve", F3],
+            ["construct", F3, "--interaction", f"{prefix}.interaction.json"],
+            ["check", F3, "--rewards", f"{prefix}.rewards.json",
+             "--rewards-swapped", f"{swapped}.rewards.json",
+             "--checks", "admissibility,decomposition,commute"],
+        ]
+        out = fresh(f"""
+import softtilt.cli
+for argv in {calls!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert softtilt.cli.main(argv) == 0, argv
+print("softtilt.countable" in sys.modules)
+""")
+        assert out == "False\n"
+
+    def test_countable_loads_it_with_the_library_budget(self, tmp_path):
+        fam = write_json(tmp_path / "fam.json", TestCountable().family_doc(math.log(1.5)))
+        out = fresh(f"""
+import softtilt.cli
+reports = []
+for flags in ([], ["--start", "16", "--max-doublings", "17"]):
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert softtilt.cli.main(["countable", {fam!r}, *flags]) == 0
+    reports.append(text.getvalue())
+print("softtilt.countable" in sys.modules, reports[0] == reports[1], len(reports[0]) > 100)
+""")
+        assert out == "True True True\n"
+
+    def test_bare_import_loads_no_submodule_and_resolves_them(self):
+        out = fresh("""
+import softtilt
+print([m for m in sys.modules if m.startswith("softtilt.")])
+print(softtilt.countable is sys.modules["softtilt.countable"])
+""")
+        assert out == "[]\nTrue\n"
+
+    def test_all_is_the_pinned_list_and_each_name_its_home_object(self):
+        assert softtilt.__all__ == PUBLIC_NAMES
+        for name in PUBLIC_NAMES[:-1]:
+            obj = getattr(softtilt, name)
+            home = importlib.import_module(f"softtilt.{softtilt._HOME[name]}")
+            assert obj is getattr(home, name) and obj.__module__ == home.__name__, name
+
+    def test_dir_star_import_and_unknown_names(self):
+        assert set(dir(softtilt)) >= {*PUBLIC_NAMES, *SUBMODULES}
+        namespace: dict = {}
+        exec("from softtilt import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            softtilt.no_such_name
