@@ -13,7 +13,9 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .dist import Assignment, DistVector, JointTable, _trusted, as_assignment, total_variation
+from .dist import (
+    Assignment, DistVector, JointTable, _finite, _trusted, as_assignment, total_variation,
+)
 from .errors import (
     CoverageMismatch,
     MissingContext,
@@ -46,12 +48,11 @@ class EventValueFunction:
             event = as_assignment(key)
             if event in canonical:
                 raise ValidationError(f"event {event} given twice")
-            v = float(value)
-            if math.isnan(v):
-                raise ValidationError(f"value at {event} must not be NaN")
-            canonical[event] = v
+            canonical[event] = _finite(
+                value, lambda: f"value at {event} must be a finite number, got {value!r}")
         self._entries = canonical
-        self._default = None if default is None else float(default)
+        self._default = None if default is None else _finite(
+            default, lambda: f"default value must be a finite number, got {default!r}")
 
     @classmethod
     def zero(cls) -> "EventValueFunction":

@@ -40,8 +40,9 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import Callable
 
+from .dist import _finite, _real
 from .errors import InvalidBounds, NotFinite, ValidationError
-from .tilt import SoftUpdateProblem, first_invalid, require_log_terms, shifted_log_sum
+from .tilt import SoftUpdateProblem, _positive, first_invalid, require_log_terms, shifted_log_sum
 
 DEFAULT_START = 16
 # max truncation point is start << max_doublings; 16 << 17 keeps the
@@ -133,10 +134,9 @@ class CountableFamily:
         bound is exact: (1-q) e^intercept (q e^slope)^(N+1) / (1 - q e^slope)
         when the ratio is below one, +inf otherwise.
         """
-        if not (0.0 < q < 1.0):
-            raise ValidationError(f"geometric parameter must lie in (0, 1), got {q!r}")
-        if not math.isfinite(slope) or not math.isfinite(intercept):
-            raise ValidationError("payoff slope and intercept must be finite")
+        q = _probability(q)
+        slope = _finite(slope, "payoff slope and intercept must be finite")
+        intercept = _finite(intercept, "payoff slope and intercept must be finite")
         prior = _GeometricPrior(q)
         log_head, log_q = prior.offset, prior.step
         ratio = q * _exp_or_inf(slope)
@@ -160,10 +160,8 @@ class CountableFamily:
     @classmethod
     def geometric_constant(cls, q: float, value: float) -> "CountableFamily":
         """Prior (1-q) q^n with a constant payoff."""
-        if not (0.0 < q < 1.0):
-            raise ValidationError(f"geometric parameter must lie in (0, 1), got {q!r}")
-        if not math.isfinite(value):
-            raise ValidationError("payoff value must be finite")
+        q = _probability(q)
+        value = _finite(value, "payoff value must be finite")
         prior = _GeometricPrior(q)
         log_q = prior.step
         return cls(
@@ -216,6 +214,14 @@ class _Affine:
         converts the int exactly as float() does, so each value is bit for bit
         the call's."""
         return map(add, repeat(self.offset), map(mul, ns, repeat(self.step)))
+
+
+def _probability(q) -> float:
+    """A geometric parameter as a float: a real number (`dist._real`) in (0, 1)."""
+    x = _real(q)
+    if x is None or not 0.0 < x < 1.0:
+        raise ValidationError(f"geometric parameter must lie in (0, 1), got {q!r}")
+    return x
 
 
 class _GeometricPrior(_Affine):
@@ -477,8 +483,9 @@ def _truncate(
     max_doublings: int,
     explosion_log: float,
 ) -> _TruncationRun:
-    if not math.isfinite(eps_tail) or eps_tail <= 0:
+    if not _positive(eps_tail):
         raise ValidationError(f"eps_tail must be finite and > 0, got {eps_tail!r}")
+    eps_tail = float(eps_tail)  # a Fraction would not convert to Decimal
     if start < 1 or max_doublings < 0:
         raise ValidationError("truncation schedule must have start >= 1, doublings >= 0")
     log_eps = math.log(eps_tail)

@@ -188,10 +188,11 @@ class JointTable:
                     ratios[i] = value.as_integer_ratio()
                     continue
             i = self._locate(as_assignment(key), full=True)[1]
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"mass must be finite, got {value!r}")
-            if isinstance(value, bool) or not isinstance(value, (float, Rational)):
+            x = _real(value)
+            if x is None:
                 raise ValidationError(f"mass must be a real number, got {value!r}")
+            if not math.isfinite(x):
+                raise ValidationError(f"mass must be finite, got {value!r}")
             num, den = (value if isinstance(value, float) else Fraction(value)).as_integer_ratio()
             if num < 0:
                 raise ValidationError(f"negative mass {value!r} at {as_assignment(key)}")
@@ -352,7 +353,8 @@ class DistVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "over", tuple(self.over))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        given = tuple(self.probs)
+        object.__setattr__(self, "probs", tuple(map(_real, given)))
         if not self.over:
             raise ValidationError("a distribution vector needs at least one variable")
         for spec in self.over:
@@ -361,8 +363,8 @@ class DistVector:
         expected = math.prod(len(spec.alphabet) for spec in self.over)
         if len(self.probs) != expected:
             raise ValidationError(f"expected {expected} probabilities, got {len(self.probs)}")
-        for p in self.probs:
-            if not math.isfinite(p) or p < 0:
+        for p, x in zip(given, self.probs):
+            if x is None or not 0 <= x < math.inf:
                 raise ValidationError(f"probabilities must be finite and >= 0, got {p!r}")
         total = fsum(self.probs)
         if abs(total - 1.0) > DEFAULT_TOL_NORM:
@@ -382,6 +384,29 @@ class DistVector:
             if outcome == target:
                 return i
         raise ValidationError(f"{target} is not an outcome of this vector")
+
+
+def _real(value) -> float | None:
+    """`value` as a float if it is a real number (an int that is not a bool, a float, or a
+    `numbers.Rational`), else None; one beyond the double range reads as +-inf. The one
+    rule of what a number is, for the JSON readers and the library constructors alike."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (float, Rational)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite(value, message) -> float:
+    """`value` as a float if it is a finite real number, else a ValidationError with
+    `message`, which may be a callable, so that a per-entry message is built only on failure."""
+    x = _real(value)
+    if x is None or not math.isfinite(x):
+        raise ValidationError(message if isinstance(message, str) else message())
+    return x
 
 
 def _trusted(cls, **fields):

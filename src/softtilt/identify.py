@@ -20,6 +20,7 @@ from .dist import (
     Assignment,
     DistVector,
     JointTable,
+    _finite,
     _trusted,
     as_assignment,
     iter_group_assignments,
@@ -33,7 +34,7 @@ from .errors import (
     ValidationError,
     ZeroMassContext,
 )
-from .tilt import logsumexp
+from .tilt import _positive, logsumexp
 
 IDENTITY_TOL = 1e-10  # default tolerance of an exact identity, such as gauge class or commutativity
 ADMIT_TOL = 1e-8  # default admissibility tolerance of an interaction signal
@@ -261,14 +262,14 @@ class GaugeShift:
     default: float | None = None
 
     def __post_init__(self) -> None:
-        self.entries = {as_assignment(k): float(v) for k, v in dict(self.entries).items()}
-        for ctx, v in self.entries.items():
-            if not math.isfinite(v):
-                raise ValidationError(f"gauge shift at {ctx} must be finite, got {v!r}")
+        entries = {}
+        for k, v in dict(self.entries).items():
+            ctx = as_assignment(k)
+            entries[ctx] = _finite(v, lambda: f"gauge shift at {ctx} must be finite, got {v!r}")
+        self.entries = entries
         if self.default is not None:
-            self.default = float(self.default)
-            if not math.isfinite(self.default):
-                raise ValidationError(f"gauge shift default must be finite, got {self.default!r}")
+            self.default = _finite(
+                self.default, lambda: f"gauge shift default must be finite, got {self.default!r}")
 
     @classmethod
     def constant(cls, value: float) -> "GaugeShift":
@@ -341,7 +342,7 @@ def _calibrate(s: _Split, interactions, terminal, alpha, baseline=None, on_infin
     """`calibrate_rewards` over `_interactions` rows, terminal(cell) being V at a full-group
     cell index: the reward rows (None where no reward is finite) and context values by
     context index, and the excluded (context index, outcome index) cells, in canonical order."""
-    if not math.isfinite(alpha) or alpha <= 0:
+    if not _positive(alpha):
         raise ValidationError(f"alpha must be finite and > 0, got {alpha!r}")
     rows: dict[int, list] = {}
     context_values: dict[int, float] = {}

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .coherence import EventValueFunction
-from .dist import Assignment, JointTable, VariableSpec, _trusted
+from .dist import Assignment, JointTable, VariableSpec, _finite, _trusted
 from .errors import CoverageMismatch, SchemaError, SoftTiltError, ValidationError
 from .identify import Direction, GaugeShift, InteractionTable, RewardTable, _split, _Split
 
@@ -66,17 +66,6 @@ def _require(condition: bool, message) -> None:
     # message may be a callable, so that a per-entry message is built only on failure
     if not condition:
         raise SchemaError(message if isinstance(message, str) else message())
-
-
-def _number(value, message) -> float:
-    out = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            out = float(value)
-        except OverflowError:  # an integer literal beyond the double range
-            out = math.inf
-    _require(math.isfinite(out), message)
-    return out
 
 
 def _binding(obj, what: str) -> dict[str, str]:
@@ -133,7 +122,7 @@ def joint_from_doc(doc) -> JointTable:
     for item in mass_docs:
         _require(isinstance(item, dict), "each mass entry must be an object")
         assign = _binding(item.get("assign"), "'assign'")
-        p = _number(item.get("p"), lambda: f"'p' at {Assignment(assign)} must be a finite number")
+        p = _finite(item.get("p"), lambda: f"'p' at {Assignment(assign)} must be a finite number")
         pairs.append((assign, p))
     # JointTable checks labels, negative masses, duplicates and the total
     return JointTable(specs, pairs, tol_norm=JOINT_SUM_TOL)
@@ -292,7 +281,7 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
     _require(isinstance(doc, dict), f"{kind} document must be an object")
     alpha = doc.get("alpha")
     if rewards or alpha is not None:
-        alpha = _number(alpha, "'alpha' must be a finite number")
+        alpha = _finite(alpha, "'alpha' must be a finite number")
         _require(alpha > 0, f"'alpha' must be > 0, got {alpha!r}")
     direction = direction_from_doc(doc, joint)
     s = _split(joint, direction)
@@ -327,10 +316,10 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
         if rewards:
             r, v = item.get("r"), item.get("V")
             if type(r) is not float or not isfinite(r):
-                r = float(r) if type(r) is int and abs(r) <= _MAX else _number(
+                r = float(r) if type(r) is int and abs(r) <= _MAX else _finite(
                     r, lambda: f"'r' at {s.contexts[ci]}/{s.outcomes[ti]} must be a finite number")
             if type(v) is not float or not isfinite(v):
-                v = float(v) if type(v) is int and abs(v) <= _MAX else _number(
+                v = float(v) if type(v) is int and abs(v) <= _MAX else _finite(
                     v, lambda: f"'V' at {s.contexts[ci]}/{s.outcomes[ti]} must be a finite number")
             row[ti], terminals[ctx_full[ci] + out_full[ti]] = r, v
             continue
@@ -339,7 +328,7 @@ def _read_rows(doc, joint: JointTable, kind: str, fill_zero: bool = False) -> _R
             if type(i) is int and abs(i) <= _MAX:
                 i = float(i)
             else:
-                i = -math.inf if i == "-inf" else _number(i, lambda: (
+                i = -math.inf if i == "-inf" else _finite(i, lambda: (
                     f"'i' at {s.contexts[ci]}/{s.outcomes[ti]} must be a number or \"-inf\""))
         row[ti] = i
     for ci, row in rows.items() if rewards else ():
@@ -401,10 +390,10 @@ def _keyed(doc, what: str, joint: JointTable | None, key: str, field: str, entri
         _require(isinstance(item, dict), "each entry must be an object")
         at = _event(joint, item.get(key), f"'{key}'")
         _require(at not in pairs, lambda: f"duplicate {key} {at}")
-        pairs[at] = _number(item.get(field), lambda: f"'{field}' at {at} must be a finite number")
+        pairs[at] = _finite(item.get(field), lambda: f"'{field}' at {at} must be a finite number")
     default = doc.get("default")
     if default is not None:
-        default = _number(default, "'default' must be a finite number")
+        default = _finite(default, "'default' must be a finite number")
     return pairs, default
 
 
@@ -437,7 +426,7 @@ def family_from_doc(doc) -> CountableFamily:
     prior = doc.get("prior")
     _require(isinstance(prior, dict), "'prior' must be an object")
     _require(prior.get("kind") == "geometric", "only 'geometric' priors are built in")
-    q = _number(prior.get("q"), "'prior.q' must be a finite number")
+    q = _finite(prior.get("q"), "'prior.q' must be a finite number")
     _require(0.0 < q < 1.0, f"'prior.q' must lie in (0, 1), got {q!r}")
     payoff = doc.get("payoff")
     _require(isinstance(payoff, dict), "'payoff' must be an object")
@@ -451,11 +440,11 @@ def family_from_doc(doc) -> CountableFamily:
         f"'bounds.payoff' must match the payoff kind {kind!r}",
     )
     if kind == "constant":
-        value = _number(payoff.get("value"), "'payoff.value' must be a finite number")
+        value = _finite(payoff.get("value"), "'payoff.value' must be a finite number")
         return CountableFamily.geometric_constant(q, value)
-    slope = _number(payoff.get("slope"), "'payoff.slope' must be a finite number")
+    slope = _finite(payoff.get("slope"), "'payoff.slope' must be a finite number")
     intercept = payoff.get("intercept", 0.0)
-    intercept = _number(intercept, "'payoff.intercept' must be a finite number")
+    intercept = _finite(intercept, "'payoff.intercept' must be a finite number")
     return CountableFamily.geometric_linear(q, slope, intercept)
 
 

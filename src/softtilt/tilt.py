@@ -16,7 +16,7 @@ from itertools import repeat
 from math import fsum
 from operator import sub
 
-from .dist import _MIN_NORMAL, DistVector
+from .dist import _MIN_NORMAL, DistVector, _real
 from .errors import DegenerateProblem, SupportViolation, ValidationError
 
 
@@ -58,6 +58,12 @@ def logsumexp(values) -> float:
     return shifted_log_sum(xs, m)
 
 
+def _positive(value) -> bool:
+    """Whether `value` is a real number, finite and > 0, as an alpha or a tolerance must be."""
+    x = _real(value)
+    return x is not None and 0 < x < math.inf
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Inverse temperature for one problem batch."""
@@ -65,7 +71,7 @@ class SolverConfig:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha) or self.alpha <= 0:
+        if not _positive(self.alpha):
             raise ValidationError(f"alpha must be finite and > 0, got {self.alpha!r}")
 
 
@@ -83,8 +89,10 @@ class SoftUpdateProblem:
     config: SolverConfig
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reward", tuple(float(v) for v in self.reward))
-        object.__setattr__(self, "terminal", tuple(float(v) for v in self.terminal))
+        object.__setattr__(self, "reward", tuple(map(_real, self.reward)))
+        object.__setattr__(self, "terminal", tuple(map(_real, self.terminal)))
+        if None in self.reward or None in self.terminal:
+            raise ValidationError("reward and terminal values must be real numbers")
         n = len(self.prior.probs)
         if len(self.reward) != n or len(self.terminal) != n:
             raise ValidationError(
