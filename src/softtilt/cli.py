@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -433,6 +434,7 @@ def cmd_countable(args) -> int:
 
 # ------------------------------------------------------------------- main
 
+@functools.cache  # built on the first call of main, not at import, and reused after
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="softtilt",
@@ -493,19 +495,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
-
 # the exit code of each error class that has one, the first match winning (a
 # CoverageMismatch is a ValidationError); any other SoftTiltError exits 1
 _EXIT_CODES = ((CoverageMismatch, 4), (ValidationError, 2), (ZeroMassContext, 3))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # built on the first call, not at import, and reused by every later call
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
-    args = _parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SoftTiltError as exc:

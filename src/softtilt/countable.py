@@ -259,15 +259,6 @@ class TruncatedTilt:
     certificate: TruncationCertificate
 
 
-@dataclass
-class _TruncationRun:
-    status: CertificateStatus
-    N: int
-    log_partial: float
-    tail_bound: float
-    log_terms: list[float]
-
-
 def _exp_or_inf(x: float) -> float:
     try:
         return math.exp(x)
@@ -282,11 +273,7 @@ def _bound_exp(x: float) -> float:
 
 
 def _safe_exp(x: float) -> float:
-    if x == -math.inf:
-        return 0.0
-    if x > 709.0:
-        return math.inf
-    return math.exp(x)
+    return math.inf if x > 709.0 else math.exp(x)
 
 
 def _payoffs(family: CountableFamily, lo: int, lps: list[float]) -> list[float]:
@@ -452,10 +439,10 @@ def _plan(
     max_doublings: int,
     explosion_log: float,
     prec: int,
-) -> _TruncationRun | None:
-    """The scan's run for a built-in geometric family whose exact ratio
-    q e^slope is below one, when no partial sum could decide any checkpoint;
-    None when the family must be scanned.
+) -> tuple[TruncationCertificate, list[float]] | None:
+    """The scan's certificate and log-terms for a built-in geometric family
+    whose exact ratio q e^slope is below one, when no partial sum could decide
+    any checkpoint; None when the family must be scanned.
 
     By _reached's monotonicity, a checkpoint that stays undecided at an
     infinite log partial sum stays undecided at the scan's: the scan would
@@ -473,7 +460,7 @@ def _plan(
     n_last = start << max_doublings
     prior, payoff = family.log_prior_mass, family.payoff
     log_partial = _exact_log_partial(prior.q, payoff.step, payoff.offset, n_last, prec)
-    return _TruncationRun(CertificateStatus.INCONCLUSIVE, n_last, log_partial, bound, [])
+    return _certificate(CertificateStatus.INCONCLUSIVE, n_last, log_partial, bound), []
 
 
 def _truncate(
@@ -482,7 +469,8 @@ def _truncate(
     start: int,
     max_doublings: int,
     explosion_log: float,
-) -> _TruncationRun:
+) -> tuple[TruncationCertificate, list[float]]:
+    """The run's certificate at its final checkpoint and the log-terms it built."""
     if not _positive(eps_tail):
         raise ValidationError(f"eps_tail must be finite and > 0, got {eps_tail!r}")
     eps_tail = float(eps_tail)  # a Fraction would not convert to Decimal
@@ -494,9 +482,9 @@ def _truncate(
     if isinstance(prior, _GeometricPrior) and isinstance(payoff, _Affine):
         sign, prec = _log_ratio_sign(prior.q, payoff.step)
         if sign < 0:
-            run = _plan(family, log_eps, start, max_doublings, explosion_log, prec)
-            if run is not None:
-                return run
+            planned = _plan(family, log_eps, start, max_doublings, explosion_log, prec)
+            if planned is not None:
+                return planned
     log_terms: list[float] = []
     top = -math.inf  # running max of log_terms
     raw_bound = math.inf
@@ -540,19 +528,15 @@ def _truncate(
             ):
                 status = CertificateStatus.INCONCLUSIVE
             if last or status is not CertificateStatus.INCONCLUSIVE:
-                return _TruncationRun(status, n_stop, log_partial, bound, log_terms)
+                return _certificate(status, n_stop, log_partial, bound), log_terms
         prev_checkpoint_term = last_term
     raise AssertionError("unreachable: the final checkpoint always returns")
 
 
-def _certificate(run: _TruncationRun) -> TruncationCertificate:
-    return TruncationCertificate(
-        N=run.N,
-        partial=_safe_exp(run.log_partial),
-        tail_bound=run.tail_bound,
-        status=run.status,
-        log_partial=run.log_partial,
-    )
+def _certificate(
+    status: CertificateStatus, N: int, log_partial: float, bound: float
+) -> TruncationCertificate:
+    return TruncationCertificate(N, _safe_exp(log_partial), bound, status, log_partial)
 
 
 def log_normalizer_truncated(
@@ -568,10 +552,10 @@ def log_normalizer_truncated(
     error below eps_tail. 'diverged' estimates are +inf; 'inconclusive'
     returns the best partial estimate reached within the budget.
     """
-    run = _truncate(family, eps_tail, start, max_doublings, explosion_log)
-    if run.status is CertificateStatus.DIVERGED:
-        return math.inf, _certificate(run)
-    return run.log_partial, _certificate(run)
+    cert, _ = _truncate(family, eps_tail, start, max_doublings, explosion_log)
+    if cert.status is CertificateStatus.DIVERGED:
+        return math.inf, cert
+    return cert.log_partial, cert
 
 
 def tilt_truncated(
@@ -586,14 +570,13 @@ def tilt_truncated(
     Requires a finite certificate; the reported tail fraction is below
     eps_tail by construction.
     """
-    run = _truncate(family, eps_tail, start, max_doublings, explosion_log)
-    if run.status is not CertificateStatus.FINITE:
-        raise NotFinite(f"no finite certificate within budget (status: {run.status.value})")
-    # log_partial >= every log-term, so each exponent is <= 0 and math.exp
-    # neither overflows nor differs from _safe_exp (exp(-inf) is 0.0)
-    probs = tuple(map(math.exp, map(sub, run.log_terms, repeat(run.log_partial))))
-    if run.tail_bound == 0.0:
+    cert, log_terms = _truncate(family, eps_tail, start, max_doublings, explosion_log)
+    if cert.status is not CertificateStatus.FINITE:
+        raise NotFinite(f"no finite certificate within budget (status: {cert.status.value})")
+    # log_partial >= every log-term, so no exponent is positive and math.exp cannot overflow
+    probs = tuple(map(math.exp, map(sub, log_terms, repeat(cert.log_partial))))
+    if cert.tail_bound == 0.0:
         tail_mass = 0.0
     else:
-        tail_mass = _safe_exp(math.log(run.tail_bound) - run.log_partial)
-    return TruncatedTilt(probs=probs, tail_mass=tail_mass, certificate=_certificate(run))
+        tail_mass = _safe_exp(math.log(cert.tail_bound) - cert.log_partial)
+    return TruncatedTilt(probs=probs, tail_mass=tail_mass, certificate=cert)

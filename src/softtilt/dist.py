@@ -204,8 +204,7 @@ class JointTable:
         for i, (num, d) in ratios.items():
             self._cells[i] = num * (den // d)
         total = sum(self._cells)
-        # marginals as flat int lists over den, keyed by kept variable indices
-        self._marginals = {self._all: self._cells, (): [total]}
+        self._derived.update({("cells", self._all): self._cells, ("cells", ()): [total]})
         if Fraction(abs(total - den), den) > Fraction(tol):
             raise ValidationError(f"masses sum to {total / den!r}, off 1 by more than {tol!r}")
 
@@ -238,13 +237,12 @@ class JointTable:
 
     def _cells_over(self, group: tuple[int, ...]) -> list[int]:
         """The marginal over a group of variable indices: a flat int list over den."""
-        cells = self._marginals.get(group)
-        if cells is None:
+        def build() -> list[int]:
             rest = self._offsets(self._all, tuple(v for v in self._all if v not in group))
             full = self._cells
-            cells = [sum([full[o + r] for r in rest]) for o in self._offsets(self._all, group)]
-            self._marginals[group] = cells
-        return cells
+            return [sum([full[o + r] for r in rest]) for o in self._offsets(self._all, group)]
+
+        return self._memo(("cells", group), build)
 
     def _offsets(self, group: tuple[int, ...], sub: tuple[int, ...]) -> list[int]:
         """For each index of the grid over sub, a subset of group, its offset in
@@ -310,7 +308,7 @@ class JointTable:
         return tuple(self._variables[v] for v in self._group(names))
 
     def total(self) -> Fraction:
-        return Fraction(self._marginals[()][0], self._den)
+        return Fraction(self._cells_over(())[0], self._den)
 
     def mass_of(self, assignment) -> Fraction:
         return Fraction(self._cells[self._locate(as_assignment(assignment), True)[1]], self._den)

@@ -349,10 +349,7 @@ def _calibrate(s: _Split, interactions, terminal, alpha, baseline=None, on_infin
     excluded: list[tuple[int, int]] = []
     for ci, interaction in interactions:
         at = s.ctx_full[ci]
-        shift = baseline.value(s.contexts[ci]) if baseline is not None else 0.0
-        if not math.isfinite(shift):
-            raise ValidationError(f"baseline at {s.contexts[ci]} must be finite, got {shift!r}")
-        context_values[ci] = shift
+        shift = context_values[ci] = baseline.value(s.contexts[ci]) if baseline is not None else 0.0
         row = rows[ci] = [None] * len(interaction)
         for ti in s.outcome_order:
             value = interaction[ti]
@@ -364,12 +361,8 @@ def _calibrate(s: _Split, interactions, terminal, alpha, baseline=None, on_infin
                                               f"outcome {s.outcomes[ti]}")
                 excluded.append((ci, ti))
                 continue
-            cell = at + s.out_full[ti]
-            v_term = terminal(cell)
-            if not math.isfinite(v_term):
-                raise ValidationError(f"terminal value at {s.events[cell]} must be finite, "
-                                      f"got {v_term!r}")
-            r = row[ti] = value / alpha - v_term + shift
+            # a non-finite shift or terminal value makes r non-finite, which fails below
+            r = row[ti] = value / alpha - terminal(at + s.out_full[ti]) + shift
             if not math.isfinite(r):
                 raise ValidationError(
                     f"calibrated reward at {s.contexts[ci]}/{s.outcomes[ti]} must be finite, "

@@ -128,18 +128,6 @@ def joint_from_doc(doc) -> JointTable:
     return JointTable(specs, pairs, tol_norm=JOINT_SUM_TOL)
 
 
-def joint_to_doc(joint: JointTable) -> dict:
-    return {
-        "variables": [
-            {"name": s.name, "alphabet": list(s.alphabet)} for s in joint.variables
-        ],
-        "mass": [
-            {"assign": dict(cell.items_sorted), "p": float(p)}
-            for cell, p in joint.support()
-        ],
-    }
-
-
 # ------------------------------------------------------------- directions
 
 def segment_names(text: str, names: Sequence[str]) -> tuple[str, ...]:
@@ -399,18 +387,6 @@ def _keyed(doc, what: str, joint: JointTable | None, key: str, field: str, entri
 
 def values_from_doc(doc, joint: JointTable | None = None) -> EventValueFunction:
     return EventValueFunction(*_keyed(doc, "values", joint, "event", "v"))
-
-
-def values_to_doc(values: EventValueFunction) -> dict:
-    doc: dict = {
-        "entries": [
-            {"event": dict(event.items_sorted), "v": values.value(event)}
-            for event in values.events()
-        ]
-    }
-    if values.default is not None:
-        doc["default"] = values.default
-    return doc
 
 
 def baseline_from_doc(doc, joint: JointTable | None = None) -> GaugeShift:

@@ -34,7 +34,7 @@ from softtilt import (
     ZeroMassContext,
     iter_group_assignments,
 )
-from softtilt.countable import _TruncationRun
+from softtilt.countable import TruncationCertificate, _certificate
 from softtilt.io import direction_from_doc
 
 VAR_NAMES = ("X", "Y", "Z")
@@ -66,6 +66,32 @@ def overflow_joint() -> JointTable:
         ({"X": "0", "Y": "0", "Z": "0"}, 0.5),
         ({"X": "0", "Y": "1", "Z": "0"}, 0.5),
     ])
+
+
+def joint_to_doc(joint: JointTable) -> dict:
+    """A joint file's document for the table, as `softtilt.io.joint_from_doc` reads it."""
+    return {
+        "variables": [
+            {"name": s.name, "alphabet": list(s.alphabet)} for s in joint.variables
+        ],
+        "mass": [
+            {"assign": dict(cell.items_sorted), "p": float(p)}
+            for cell, p in joint.support()
+        ],
+    }
+
+
+def values_to_doc(values: EventValueFunction) -> dict:
+    """A values file's document, as `softtilt.io.values_from_doc` reads it."""
+    doc: dict = {
+        "entries": [
+            {"event": dict(event.items_sorted), "v": values.value(event)}
+            for event in values.events()
+        ]
+    }
+    if values.default is not None:
+        doc["default"] = values.default
+    return doc
 
 
 def random_specs(rng: random.Random, min_k: int = 2, max_k: int = 4) -> tuple[VariableSpec, ...]:
@@ -546,8 +572,9 @@ def ref_geometric_tail(q: float, slope: float, intercept: float, n: int) -> tupl
 
 def ref_truncate(
     family, eps_tail, start, max_doublings, explosion_log, exact_tail=None
-) -> _TruncationRun:
-    """softtilt.countable._truncate as a scan; the schedule and eps_tail must be valid.
+) -> tuple[TruncationCertificate, list[float]]:
+    """softtilt.countable._truncate as a scan, returning the certificate and the
+    log-terms; the schedule and eps_tail must be valid.
 
     exact_tail(n), when given, returns the exact tail and partial sum at n, as
     `ref_geometric_tail` does: a checkpoint the family's tail bound certifies
@@ -597,7 +624,7 @@ def ref_truncate(
         ):
             status = CertificateStatus.DIVERGED
         prev_term = log_terms[n_stop]
-        run = _TruncationRun(status, n_stop, log_partial, bound, log_terms)
+        run = _certificate(status, n_stop, log_partial, bound), log_terms
         if status is not CertificateStatus.INCONCLUSIVE:
             return run
     return run

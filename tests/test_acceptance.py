@@ -41,9 +41,10 @@ from softtilt import (
     total_variation,
 )
 from softtilt.cli import main as cli_main
-from softtilt.io import dumps_report, joint_to_doc
+from softtilt.io import dumps_report
 from helpers import (
     grid_problem,
+    joint_to_doc,
     random_baseline,
     random_candidate,
     random_joint,

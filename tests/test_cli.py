@@ -16,8 +16,7 @@ import softtilt
 import softtilt.identify as identify_module
 from softtilt import fixture_path, joint_f3, pmi
 from softtilt.cli import main
-from softtilt.io import dumps_report, joint_to_doc
-from helpers import overflow_joint, sparse_joint
+from helpers import joint_to_doc, overflow_joint, sparse_joint
 from test_golden import GOLDEN
 
 F1 = str(fixture_path("f1.json"))

@@ -236,6 +236,11 @@ class TestCommutativityResidual:
         partial.pop(next(iter(partial)))
         with pytest.raises(MissingContext):
             commutativity_residual(fwd.rewards, partial, swp.rewards, swp.context_values)
+        partial = dict(swp.context_values)
+        missing = partial.popitem()[0]
+        with pytest.raises(MissingContext) as info:
+            commutativity_residual(fwd.rewards, fwd.context_values, swp.rewards, partial)
+        assert str(info.value) == f"swapped context values miss {missing}"
 
 
 class TestOrderIndependence:
@@ -303,6 +308,13 @@ class TestOrderIndependence:
         pair = self.make_pair(j, zero)
         with pytest.raises(ValidationError):
             order_independence_check(pair, swp.rewards, fwd.rewards)
+        # the forward table is right; the swapped one is y_given_xz, not z_given_yx
+        other = Direction(target=("Y",), base=("X",), observed=("Z",))
+        wrong = calibrate_rewards(j, other, zero, alpha=1.0).rewards
+        with pytest.raises(
+            ValidationError, match="^swapped reward table does not match the pair's direction$"
+        ):
+            order_independence_check(pair, fwd.rewards, wrong)
 
     def test_entry_off_the_grid_raises(self, rng):
         j = random_joint(rng)

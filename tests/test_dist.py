@@ -340,6 +340,9 @@ class TestDistVector:
         d = DistVector((VariableSpec("X", ("a", "b", "c")),), (0.5, 0.0, 0.5))
         assert d.index_of({"X": "c"}) == 2
         assert d.support() == (0, 2)
+        for binding, text in (({"X": "d"}, "X=d"), ({"Y": "a"}, "Y=a")):
+            with pytest.raises(ValidationError, match=f"^{text} is not an outcome of this vector$"):
+                d.index_of(binding)
 
     def test_total_variation(self):
         over = (VariableSpec("X", B),)

@@ -1,6 +1,6 @@
-"""Error lines for binding faults, bad flag values, faults between the commute
-check's two reward files and the gauge check's context-set rule, pinned byte
-for byte.
+"""Error lines for binding faults, bad flag values, faults between the files of
+one check, the gauge check's context-set rule, a joint too small for a
+direction and `construct` rows at a zero-mass base, pinned byte for byte.
 
 Each case writes one faulty input next to the bundled f3 joint (X, Y, Z over
 "0"/"1") or the sparse helper joint, or passes one bad flag value, runs it
@@ -20,8 +20,7 @@ import pytest
 
 from softtilt import countable, fixture_path
 from softtilt.cli import main
-from softtilt.io import joint_to_doc
-from helpers import sparse_joint
+from helpers import joint_to_doc, sparse_joint
 
 F3 = str(fixture_path("f3.json"))
 BITS = ("0", "1")
@@ -394,3 +393,70 @@ def test_gauge_context_sets_differ(capsys, tmp_path):
     )
     code, out, err = run(capsys, argv + ["--checks", "decomposition"])
     assert (code, err, json.loads(out)["all_passed"]) == (0, "", True)
+
+
+@pytest.fixture
+def f3_files(capsys, tmp_path) -> dict:
+    """The f3 files `identify` writes: the rewards of x_given_yz ("fwd"), z_given_yx
+    ("swp"), y_given_xz ("yxz") and of z_given_yx at alpha 2 ("swp_alpha2"), and the
+    interaction file of z_given_yx ("swp_interaction")."""
+    runs = {"fwd": ["x_given_yz"], "swp": ["z_given_yx"], "yxz": ["y_given_xz"],
+            "swp_alpha2": ["z_given_yx", "--alpha", "2"]}
+    for name, flags in runs.items():
+        out = str(tmp_path / name)
+        assert main(["identify", F3, "--direction", *flags, "--out", out]) == 0
+    capsys.readouterr()
+    files = {name: str(tmp_path / f"{name}.rewards.json") for name in runs}
+    files["swp_interaction"] = str(tmp_path / "swp.interaction.json")
+    return files
+
+
+# (label, argv, stderr); every case exits 2, and {name} is a file of `f3_files`
+CROSS_FILE_CASES = [
+    ("interaction-direction-differs",
+     ["check", F3, "--rewards", "{fwd}", "--interaction", "{swp_interaction}",
+      "--checks", "admissibility"],
+     "error: interaction file direction 'z_given_yx' does not match the rewards direction "
+     "'x_given_yz'\n"),
+    ("swapped-rewards-not-the-swap",
+     ["check", F3, "--rewards", "{fwd}", "--rewards-swapped", "{yxz}", "--checks", "commute"],
+     "error: --rewards-swapped direction 'y_given_xz' is not the swap of 'x_given_yz'\n"),
+    ("swapped-rewards-other-alpha",
+     ["check", F3, "--rewards", "{fwd}", "--rewards-swapped", "{swp_alpha2}",
+      "--checks", "commute"],
+     "error: alpha disagrees between reward files: 1.0 vs 2.0\n"),
+]
+
+
+@pytest.mark.parametrize("label, argv, err", CROSS_FILE_CASES, ids=[c[0] for c in CROSS_FILE_CASES])
+def test_faults_between_files(capsys, f3_files, label, argv, err):
+    argv = [arg.format(**f3_files) for arg in argv]
+    assert run(capsys, argv) == (2, "", err)
+
+
+def test_one_variable_joint_has_no_direction(capsys, tmp_path):
+    doc = {"variables": [{"name": "X", "alphabet": list(BITS)}],
+           "mass": [{"assign": {"X": x}, "p": 0.5} for x in BITS]}
+    assert run(capsys, ["solve", write(tmp_path / "one.json", doc)]) == (
+        2, "", "error: need at least two variables to form a direction\n"
+    )
+
+
+def test_construct_rows_at_a_zero_mass_base(capsys, tmp_path):
+    # Y=1 has zero mass, so identify writes no row there; rows added at Y=1,Z=0
+    # and Y=1,Z=1 condition the prior P(X | Y=1) on a zero-mass event
+    cells = {("0", "0"): 0.4, ("0", "1"): 0.1, ("1", "0"): 0.1, ("1", "1"): 0.4}
+    joint = write(tmp_path / "joint.json", {
+        "variables": [{"name": name, "alphabet": list(BITS)} for name in "XYZ"],
+        "mass": [{"assign": {"X": x, "Y": "0", "Z": z}, "p": p} for (x, z), p in cells.items()],
+    })
+    assert main(["identify", joint, "--out", str(tmp_path / "id")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "id.interaction.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["entries"] += [{"context": {"Y": "1", "Z": z}, "outcome": {"X": x}, "i": 0.0}
+                       for z in BITS for x in BITS]
+    argv = ["construct", joint, "--interaction", write(tmp_path / "rows.json", doc)]
+    assert run(capsys, argv) == (3, "", "error: conditioning event Y=1 has zero probability\n")
+    code, out, err = run(capsys, argv + ["--skip-zero-mass"])
+    assert (code, err) == (0, "") and out

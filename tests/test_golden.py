@@ -22,8 +22,8 @@ from pathlib import Path
 
 from softtilt import fixture_path
 from softtilt.cli import main
-from softtilt.io import dumps_report, joint_to_doc
-from helpers import overflow_joint, sparse_joint
+from softtilt.io import dumps_report
+from helpers import joint_to_doc, overflow_joint, sparse_joint
 
 CHECKS = ("gauge", "admissibility", "decomposition", "commute")
 

@@ -206,6 +206,22 @@ class TestCalibrate:
                 baseline=GaugeShift(entries={Assignment({"Y": "0", "Z": "0"}): 1.0}),
             )
 
+    @pytest.mark.parametrize("shift, terminal, got", [
+        (math.inf, 0.0, "inf"), (math.nan, 0.0, "nan"), (0.0, -math.inf, "inf"),
+    ])
+    def test_non_finite_value_set_after_construction_fails(self, shift, terminal, got):
+        # the constructors reject these values; set afterwards, each still makes
+        # the first calibrated reward non-finite, and calibration says so
+        baseline = GaugeShift.constant(0.0)
+        baseline.default = shift
+        values = EventValueFunction.zero()
+        values._default = terminal
+        with pytest.raises(ValidationError) as info:
+            calibrate_rewards(joint_f3(), FWD, values, alpha=1.0, baseline=baseline)
+        assert str(info.value) == (
+            f"calibrated reward at Y=0,Z=0/X=0 must be finite, got {got} at alpha 1.0"
+        )
+
 
 class TestTerminalLookup:
     """`identify._lookup`: V by full-group cell index, read once per cell, when first asked for."""
@@ -332,6 +348,31 @@ class TestGauge:
         with pytest.raises(CoverageMismatch):
             gauge_equivalent((a, zero), (b, zero), j)
 
+    def test_b_missing_supported_outcome_raises(self):
+        # both tables name the same contexts, but b has no reward at a cell
+        # with positive posterior mass
+        j = joint_f3()
+        zero = EventValueFunction.zero()
+        a = calibrate_rewards(j, FWD, zero, alpha=1.0).rewards
+        from softtilt import RewardTable
+
+        entries = {c: dict(row) for c, row in a.entries.items()}
+        del entries[Assignment({"Y": "1", "Z": "0"})][Assignment({"X": "1"})]
+        b = RewardTable(direction=FWD, entries=entries, convention="gapped")
+        with pytest.raises(CoverageMismatch) as info:
+            gauge_equivalent((a, zero), (b, zero), j)
+        assert str(info.value) == "table b misses outcome X=1 at context Y=1,Z=0"
+
+    def test_apply_gauge_over_other_contexts_raises(self):
+        j = joint_f3()
+        zero = EventValueFunction.zero()
+        fwd = calibrate_rewards(j, FWD, zero, alpha=1.0)
+        swapped_values = calibrate_rewards(j, FWD.swapped(), zero, alpha=1.0).context_values
+        with pytest.raises(
+            ValidationError, match="^context values and reward table cover different contexts$"
+        ):
+            apply_gauge(fwd.rewards, swapped_values, GaugeShift.constant(1.0))
+
 
 class TestAdmissibility:
     def test_offset_shows_up_as_residual(self):
@@ -352,6 +393,18 @@ class TestAdmissibility:
         del table.values[Assignment({"Y": "0", "Z": "0"})][Assignment({"X": "0"})]
         with pytest.raises(ValidationError):
             check_admissibility(table, j)
+
+    def test_context_off_the_grid_raises(self):
+        j = joint_f3()
+        table = identify_interaction(j, FWD)
+        table.values[Assignment({"Y": "0", "Z": "9"})] = table.values.pop(
+            Assignment({"Y": "0", "Z": "1"})
+        )
+        with pytest.raises(ValidationError) as info:
+            check_admissibility(table, j)
+        assert str(info.value) == (
+            "context must bind exactly ['Y', 'Z'] with labels of their alphabets, got Y=0,Z=9"
+        )
 
 
 class TestConstructPosterior:
@@ -380,6 +433,13 @@ class TestConstructPosterior:
         prior = DistVector(outcome_specs(2), (0.5, 0.5))
         with pytest.raises(ValidationError):
             construct_posterior(prior, (0.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_inf_signal_rejected(self, bad):
+        prior = DistVector(outcome_specs(2), (0.5, 0.5))
+        with pytest.raises(ValidationError) as info:
+            construct_posterior(prior, (bad, 0.0))
+        assert str(info.value) == "signal at supported outcome 0 must be in [-inf, inf)"
 
     def test_matches_identified_posteriors(self, rng):
         for _ in range(10):

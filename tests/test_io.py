@@ -47,14 +47,13 @@ from softtilt.io import (
     format_float,
     interaction_from_doc,
     joint_from_doc,
-    joint_to_doc,
     load_json,
     reward_from_doc,
     segment_names,
     values_from_doc,
-    values_to_doc,
 )
 from helpers import (
+    joint_to_doc,
     random_direction,
     ref_joint_doc,
     ref_rows,
@@ -62,6 +61,7 @@ from helpers import (
     sparse_joint,
     sparse_random_joint,
     tag,
+    values_to_doc,
 )
 
 FWD = Direction(target=("X",), base=("Y",), observed=("Z",))

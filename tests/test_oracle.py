@@ -34,8 +34,9 @@ from hypothesis import strategies as st
 
 from softtilt import Assignment, iter_group_assignments
 from softtilt.cli import main
-from softtilt.io import joint_from_doc, joint_to_doc
+from softtilt.io import joint_from_doc
 from helpers import (
+    joint_to_doc,
     random_direction,
     ref_conditional,
     ref_event_mass,

@@ -33,9 +33,8 @@ from hypothesis import strategies as st
 from softtilt import Assignment, fixture_path
 from softtilt.cli import main
 from softtilt.errors import SchemaError
-from softtilt.io import _read_rows, interaction_from_doc, joint_from_doc, joint_to_doc
-from softtilt.io import reward_from_doc
-from helpers import random_direction, sparse_random_joint, tag
+from softtilt.io import _read_rows, interaction_from_doc, joint_from_doc, reward_from_doc
+from helpers import joint_to_doc, random_direction, sparse_random_joint, tag
 
 
 def run(argv) -> tuple[int, str, str]:

@@ -67,10 +67,16 @@ from softtilt.io import (
     format_float,
     interaction_from_doc,
     joint_from_doc,
-    joint_to_doc,
     reward_from_doc,
 )
-from helpers import random_baseline, random_direction, ref_gauge, ref_rewards, ref_table_doc
+from helpers import (
+    joint_to_doc,
+    random_baseline,
+    random_direction,
+    ref_gauge,
+    ref_rewards,
+    ref_table_doc,
+)
 
 # names and labels holding what JSON escapes, and what a template would read:
 # quotes, backslashes, braces, percent signs, control and non-ASCII characters
